@@ -6,7 +6,8 @@
 //! With multithreading the paper combines locally (§4.1): only the
 //! *last* local thread to arrive generates the remote arrival message.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use rsdsm_simnet::NodeId;
 
@@ -72,7 +73,9 @@ pub struct BarrierManager {
 #[derive(Debug, Clone, Default)]
 struct Episode {
     arrived: Vec<NodeId>,
-    intervals: Vec<IntervalRecord>,
+    intervals: Vec<Arc<IntervalRecord>>,
+    /// `(origin, seq)` keys of `intervals`, for deduplication.
+    seen: HashSet<(NodeId, u32)>,
 }
 
 impl BarrierManager {
@@ -100,17 +103,13 @@ impl BarrierManager {
         &mut self,
         id: BarrierId,
         from: NodeId,
-        intervals: Vec<IntervalRecord>,
-    ) -> Option<Vec<IntervalRecord>> {
+        intervals: Vec<Arc<IntervalRecord>>,
+    ) -> Option<Vec<Arc<IntervalRecord>>> {
         let ep = self.pending.entry(id).or_default();
         assert!(!ep.arrived.contains(&from), "node {from} arrived twice");
         ep.arrived.push(from);
         for rec in intervals {
-            let dup = ep
-                .intervals
-                .iter()
-                .any(|r| r.origin == rec.origin && r.stamp == rec.stamp);
-            if !dup {
+            if ep.seen.insert((rec.origin, rec.seq())) {
                 ep.intervals.push(rec);
             }
         }
@@ -134,16 +133,16 @@ mod tests {
     use super::*;
     use rsdsm_protocol::{PageId, VectorClock};
 
-    fn rec(origin: NodeId, tick: usize) -> IntervalRecord {
+    fn rec(origin: NodeId, tick: usize) -> Arc<IntervalRecord> {
         let mut stamp = VectorClock::new(4);
         for _ in 0..tick {
             stamp.tick(origin);
         }
-        IntervalRecord {
+        Arc::new(IntervalRecord {
             origin,
             stamp,
             pages: vec![PageId::new(0)],
-        }
+        })
     }
 
     #[test]
@@ -197,9 +196,10 @@ mod tests {
             .node_arrived(BarrierId(0), 0, vec![rec(0, 1), rec(0, 2)])
             .is_none());
         let released = m
-            .node_arrived(BarrierId(0), 1, vec![rec(0, 1)])
+            .node_arrived(BarrierId(0), 1, vec![rec(0, 1), rec(1, 1)])
             .expect("all arrived");
-        assert_eq!(released.len(), 2);
+        let keys: Vec<_> = released.iter().map(|r| (r.origin, r.seq())).collect();
+        assert_eq!(keys, vec![(0, 1), (0, 2), (1, 1)], "first-arrival order");
     }
 
     #[test]

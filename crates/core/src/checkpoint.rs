@@ -191,7 +191,12 @@ impl Checkpoint {
             vc: state.vc.clone(),
             pages,
             diffs,
-            intervals: state.known_intervals.clone(),
+            intervals: state
+                .known_intervals
+                .records()
+                .iter()
+                .map(|rec| IntervalRecord::clone(rec))
+                .collect(),
             tokens,
         }
     }
@@ -235,6 +240,24 @@ impl Checkpoint {
             put_u32(&mut out, t.0);
         }
         out
+    }
+
+    /// Length of [`Checkpoint::encode`]'s output, computed from the
+    /// content without encoding it.
+    pub fn encoded_len(&self) -> usize {
+        let clock = |vc: &VectorClock| 4 + 4 * vc.len();
+        let pages = self.pages.len() * (4 + 1 + PAGE_SIZE);
+        let diffs: usize = self
+            .diffs
+            .iter()
+            .map(|d| 12 + 8 * d.diff.run_count() + d.diff.payload_bytes())
+            .sum();
+        let intervals: usize = self
+            .intervals
+            .iter()
+            .map(|iv| 4 + clock(&iv.stamp) + 4 + 4 * iv.pages.len())
+            .sum();
+        12 + clock(&self.vc) + 4 + pages + 4 + diffs + 4 + intervals + 4 + 4 * self.tokens.len()
     }
 
     /// Parses a checkpoint from bytes produced by
@@ -616,6 +639,38 @@ mod tests {
         let back = Checkpoint::decode(&bytes).expect("decode");
         assert_eq!(back, ckpt);
         assert_eq!(back.digest(), ckpt.digest());
+    }
+
+    #[test]
+    fn encoded_len_matches_encoding() {
+        let empty = Checkpoint {
+            node: 0,
+            epoch: 0,
+            vc: VectorClock::new(1),
+            pages: vec![],
+            diffs: vec![],
+            intervals: vec![],
+            tokens: vec![],
+        };
+        let mut full = sample();
+        let mut page = Page::new();
+        for at in [0, 1024, 4000] {
+            page.write_u64(at, 7);
+        }
+        full.diffs.push(DiffRecord {
+            page: 3,
+            seq: 5,
+            diff: Diff::between(&Page::new(), &page),
+        });
+        assert!(full.diffs[1].diff.run_count() > 1, "multi-run diff");
+        full.intervals.push(IntervalRecord {
+            origin: 0,
+            stamp: VectorClock::from_entries(&[6, 0, 9, 1]),
+            pages: vec![],
+        });
+        for ckpt in [empty, sample(), full] {
+            assert_eq!(ckpt.encoded_len(), ckpt.encode().len(), "{ckpt:?}");
+        }
     }
 
     #[test]

@@ -1375,7 +1375,7 @@ impl<'a> Core<'a> {
             let mem = self.mem.lock().expect("mem mutex");
             Checkpoint::capture(n as u32, epoch, &self.nodes[n], &mem[n])
         };
-        let bytes = ckpt.encode().len() as u64;
+        let bytes = ckpt.encoded_len() as u64;
         self.tracer.emit(
             at,
             n as u32,
@@ -2208,8 +2208,8 @@ impl<'a> Core<'a> {
             }
             if self.oracle.cfg.invariants {
                 let covered = node
-                    .known_set
-                    .contains(&(cached.origin, cached.stamp.get(cached.origin)));
+                    .known_intervals
+                    .contains(cached.origin, cached.stamp.get(cached.origin));
                 self.oracle
                     .check_coverage(covered, n, page, cached.origin, &cached.stamp, end);
             }
@@ -2651,25 +2651,25 @@ impl<'a> Core<'a> {
             m.pool.put_arc(twin);
         }
         drop(mem);
-        let rec = IntervalRecord {
+        let rec = Arc::new(IntervalRecord {
             origin: n,
             stamp,
             pages: pages_list,
-        };
+        });
         if self.trace {
             eprintln!(
                 "[{at}] close n{n}: stamp {} pages {:?}",
                 rec.stamp, rec.pages
             );
         }
-        self.nodes[n].learn_interval(&rec);
+        self.nodes[n].known_intervals.learn(&rec);
         self.charge(n, at, cost, Category::DsmOverhead, None)
     }
 
     /// Records the write notices of `rec` at node `n`, invalidating
     /// affected pages (skipping the node's own intervals).
-    fn record_interval(&mut self, n: NodeId, rec: &IntervalRecord, at: SimTime) {
-        self.nodes[n].learn_interval(rec);
+    fn record_interval(&mut self, n: NodeId, rec: &Arc<IntervalRecord>, at: SimTime) {
+        self.nodes[n].known_intervals.learn(rec);
         if rec.origin == n {
             return;
         }
@@ -2874,7 +2874,7 @@ impl<'a> Core<'a> {
             return at;
         }
         let end = self.close_interval(n, at);
-        let intervals = self.nodes[n].intervals_unknown_to(&waiter.vc);
+        let intervals = self.nodes[n].known_intervals.unknown_to(&waiter.vc);
         let mut end = self.charge(n, end, self.cfg.costs.msg_send, Category::DsmOverhead, None);
         self.tracer.emit(
             end,
@@ -2956,9 +2956,9 @@ impl<'a> Core<'a> {
             NO_CAUSE,
             TraceEvent::BarrierArrive { barrier: id.0 },
         );
-        let horizon = self.nodes[n].last_release_vc.clone();
-        let intervals = self.nodes[n].intervals_unknown_to(&horizon);
-        let vc = self.nodes[n].vc.clone();
+        let node = &self.nodes[n];
+        let intervals = node.known_intervals.unknown_to(&node.last_release_vc);
+        let vc = node.vc.clone();
         if n == MANAGER {
             end = self.charge(
                 n,
@@ -2994,7 +2994,7 @@ impl<'a> Core<'a> {
         id: BarrierId,
         from: NodeId,
         vc: VectorClock,
-        intervals: Vec<IntervalRecord>,
+        intervals: Vec<Arc<IntervalRecord>>,
         at: SimTime,
     ) -> Result<(), SimError> {
         let joined = self
@@ -3040,7 +3040,7 @@ impl<'a> Core<'a> {
         n: NodeId,
         id: BarrierId,
         vc: &VectorClock,
-        intervals: &[IntervalRecord],
+        intervals: &[Arc<IntervalRecord>],
         at: SimTime,
     ) -> Result<(), SimError> {
         let mut end = self.charge(
@@ -3441,7 +3441,6 @@ impl<'a> Core<'a> {
 
     /// Services a diff (or prefetch) request at node `m`.
     #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
     fn serve_diff_request(
         &mut self,
         m: NodeId,
@@ -3524,12 +3523,13 @@ impl<'a> Core<'a> {
                 node.own_diff_bytes += diff.encoded_bytes();
                 node.own_diffs
                     .insert((page.index(), seq), Arc::clone(&diff));
-                let rec = IntervalRecord {
-                    origin: m,
-                    stamp: stamp.clone(),
-                    pages: vec![page],
-                };
-                self.nodes[m].learn_interval(&rec);
+                self.nodes[m]
+                    .known_intervals
+                    .learn(&Arc::new(IntervalRecord {
+                        origin: m,
+                        stamp: stamp.clone(),
+                        pages: vec![page],
+                    }));
                 reply_diffs.push(DiffPayload {
                     origin: m,
                     stamp,
@@ -3569,12 +3569,14 @@ impl<'a> Core<'a> {
                 None => Arc::new(entry.data.clone()),
             };
             drop(mem);
-            let mut incorporated = self.nodes[m].board.applied_for(page);
-            for rec in &self.nodes[m].known_intervals {
-                if rec.origin == m && rec.pages.contains(&page) {
-                    incorporated.push((m, rec.stamp.clone()));
-                }
-            }
+            let node = &self.nodes[m];
+            let mut incorporated = node.board.applied_for(page);
+            incorporated.extend(
+                node.known_intervals
+                    .of_origin_touching(m, page)
+                    .iter()
+                    .map(|rec| (m, rec.stamp.clone())),
+            );
             Some(BasePayload {
                 page: data,
                 incorporated,
@@ -3583,7 +3585,7 @@ impl<'a> Core<'a> {
             None
         };
 
-        let mut intervals = self.nodes[m].intervals_unknown_to(requester_vc);
+        let mut intervals = self.nodes[m].known_intervals.unknown_to(requester_vc);
         if want_base && self.cfg.directory.enabled {
             // Heal a pruned requester: a first touch needs the page's
             // full notice history, including intervals the
@@ -3592,16 +3594,10 @@ impl<'a> Core<'a> {
             // whole — never synthesized per-page slices — so a
             // requester that genuinely never saw one learns every
             // page it names.
-            let healed: Vec<IntervalRecord> = self.nodes[m]
-                .known_intervals
-                .iter()
-                .filter(|rec| {
-                    rec.origin != requester
-                        && rec.pages.contains(&page)
-                        && requester_vc.dominates(&rec.stamp)
-                })
-                .cloned()
-                .collect();
+            let healed =
+                self.nodes[m]
+                    .known_intervals
+                    .known_to_touching(requester_vc, page, requester);
             self.nodes[m].counters.dir_forwards += healed.len() as u64;
             intervals.extend(healed);
         }
@@ -4055,22 +4051,23 @@ fn materialize(heap: &Heap, nodes: &[NodeState], mem: &[NodeMem]) -> Vec<Page> {
             .collect();
 
         // Closed intervals not yet incorporated at the home.
-        let mut pendings: Vec<(&VectorClock, &Diff)> = Vec::new();
+        let mut pendings: Vec<(Arc<IntervalRecord>, &Diff)> = Vec::new();
         for node in nodes {
-            for rec in &node.known_intervals {
-                if rec.origin != node.id || !rec.pages.contains(&page) {
-                    continue;
-                }
-                let seq = rec.stamp.get(node.id);
-                if node.id == home || applied.contains(&(node.id, seq)) {
+            if node.id == home {
+                continue;
+            }
+            for rec in node.known_intervals.of_origin_touching(node.id, page) {
+                let seq = rec.seq();
+                if applied.contains(&(node.id, seq)) {
                     continue;
                 }
                 if let Some(diff) = node.own_diffs.get(&(p, seq)) {
-                    pendings.push((&rec.stamp, &**diff));
+                    pendings.push((rec, &**diff));
                 }
             }
         }
         pendings.sort_by(|(a, _), (b, _)| {
+            let (a, b) = (&a.stamp, &b.stamp);
             let sum = |vc: &VectorClock| -> u64 { (0..vc.len()).map(|i| vc.get(i) as u64).sum() };
             sum(a).cmp(&sum(b)).then_with(|| {
                 (0..a.len())
@@ -4136,11 +4133,11 @@ mod tests {
         nodes[1].vc.tick(1);
         let stamp = nodes[1].vc.clone();
         nodes[1].own_diffs.insert((0, 1), Arc::new(diff));
-        nodes[1].learn_interval(&IntervalRecord {
+        nodes[1].known_intervals.learn(&Arc::new(IntervalRecord {
             origin: 1,
             stamp,
             pages: vec![PageId::new(0)],
-        });
+        }));
 
         let pages = materialize(&heap, &nodes, &mem);
         assert_eq!(pages[0].read_u64(0), 1, "home bytes preserved");
@@ -4162,11 +4159,11 @@ mod tests {
         nodes[1].vc.tick(1);
         let stamp = nodes[1].vc.clone();
         nodes[1].own_diffs.insert((0, 1), Arc::new(diff));
-        nodes[1].learn_interval(&IntervalRecord {
+        nodes[1].known_intervals.learn(&Arc::new(IntervalRecord {
             origin: 1,
             stamp: stamp.clone(),
             pages: vec![PageId::new(0)],
-        });
+        }));
         // Mark it applied at the home.
         nodes[0].board.mark_applied(PageId::new(0), 1, &stamp);
 

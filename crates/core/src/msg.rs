@@ -33,10 +33,21 @@ pub struct IntervalRecord {
 }
 
 impl IntervalRecord {
+    /// The origin's own sequence number for this interval — with
+    /// `origin`, the record's unique key.
+    pub fn seq(&self) -> u32 {
+        self.stamp.get(self.origin)
+    }
+
     /// Wire size of the encoded record.
     pub fn wire_bytes(&self) -> usize {
         8 + 4 * self.stamp.len() + NOTICE_WIRE_BYTES * self.pages.len()
     }
+}
+
+/// Wire size of a piggybacked interval list.
+fn intervals_wire_bytes(intervals: &[Arc<IntervalRecord>]) -> usize {
+    intervals.iter().map(|rec| rec.wire_bytes()).sum()
 }
 
 /// One diff payload in a reply: the writer's interval stamp plus the
@@ -123,7 +134,7 @@ pub enum MsgBody {
         /// learn of every causally-prior interval before applying it,
         /// or a later fetch of an older overlapping diff would roll
         /// the page back.
-        intervals: Vec<IntervalRecord>,
+        intervals: Vec<Arc<IntervalRecord>>,
     },
     /// Acquire request sent to the lock's manager node.
     LockRequest {
@@ -151,7 +162,7 @@ pub enum MsgBody {
         /// The lock.
         lock: LockId,
         /// Intervals the acquirer did not know about.
-        intervals: Vec<IntervalRecord>,
+        intervals: Vec<Arc<IntervalRecord>>,
         /// The granter's vector clock.
         vc: VectorClock,
     },
@@ -164,7 +175,7 @@ pub enum MsgBody {
         /// The arriver's vector clock.
         vc: VectorClock,
         /// Intervals the manager may not know about.
-        intervals: Vec<IntervalRecord>,
+        intervals: Vec<Arc<IntervalRecord>>,
     },
     /// The manager releases all nodes from the barrier, redistributing
     /// every interval gathered from the arrivals.
@@ -174,7 +185,7 @@ pub enum MsgBody {
         /// Joined vector clock of all participants.
         vc: VectorClock,
         /// Union of intervals from all arrivals.
-        intervals: Vec<IntervalRecord>,
+        intervals: Vec<Arc<IntervalRecord>>,
     },
     /// A node's lease on a peer expired, or a reliable frame to it
     /// exhausted its retries; reported to the manager, which owns
@@ -225,26 +236,13 @@ impl MsgBody {
                 } => {
                     diffs.iter().map(DiffPayload::wire_bytes).sum::<usize>()
                         + base.as_ref().map_or(0, BasePayload::wire_bytes)
-                        + intervals
-                            .iter()
-                            .map(IntervalRecord::wire_bytes)
-                            .sum::<usize>()
+                        + intervals_wire_bytes(intervals)
                 }
                 MsgBody::LockRequest { vc, .. } | MsgBody::LockForward { vc, .. } => 4 * vc.len(),
-                MsgBody::LockGrant { intervals, vc, .. } => {
-                    4 * vc.len()
-                        + intervals
-                            .iter()
-                            .map(IntervalRecord::wire_bytes)
-                            .sum::<usize>()
-                }
-                MsgBody::BarrierArrive { intervals, vc, .. }
+                MsgBody::LockGrant { intervals, vc, .. }
+                | MsgBody::BarrierArrive { intervals, vc, .. }
                 | MsgBody::BarrierRelease { intervals, vc, .. } => {
-                    4 * vc.len()
-                        + intervals
-                            .iter()
-                            .map(IntervalRecord::wire_bytes)
-                            .sum::<usize>()
+                    4 * vc.len() + intervals_wire_bytes(intervals)
                 }
                 // Node id / epoch fit inside the fixed header.
                 MsgBody::SuspectReport { .. } | MsgBody::RecoveryStart { .. } => 0,

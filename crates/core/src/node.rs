@@ -330,9 +330,7 @@ pub(crate) struct NodeState {
     /// Encoded bytes held in `own_diffs` (GC trigger).
     pub own_diff_bytes: usize,
     /// Every interval this node knows about (its own and received).
-    pub known_intervals: Vec<IntervalRecord>,
-    /// Dedup index over `known_intervals`: (origin, origin-sequence).
-    pub known_set: std::collections::HashSet<(NodeId, u32)>,
+    pub known_intervals: IntervalLog,
     /// Vector clock at the last barrier release (bounds what must be
     /// sent to the barrier manager).
     pub last_release_vc: VectorClock,
@@ -393,8 +391,7 @@ impl NodeState {
             base_cache: HashMap::new(),
             own_diffs: HashMap::new(),
             own_diff_bytes: 0,
-            known_intervals: Vec::new(),
-            known_set: std::collections::HashSet::new(),
+            known_intervals: IntervalLog::new(nodes),
             last_release_vc: VectorClock::new(nodes),
             fetches: HashMap::new(),
             pf_meta: HashMap::new(),
@@ -411,44 +408,210 @@ impl NodeState {
             burst: None,
         }
     }
+}
 
-    /// Intervals this node knows that `vc` does not dominate —
-    /// the write notices to piggyback on a grant or barrier message.
-    pub fn intervals_unknown_to(&self, vc: &VectorClock) -> Vec<IntervalRecord> {
-        self.known_intervals
+/// The log of every interval a node knows, keyed by `(origin, seq)`.
+///
+/// Records stay in the order the node learned them, shared by `Arc`
+/// with every message that piggybacks them. Beside the log, each
+/// origin keeps its `(seq, log position)` pairs sorted by `seq`, so a
+/// query touches only the records it returns instead of rescanning
+/// the whole, ever-growing log.
+///
+/// Queries rest on one premise: a clock that covers an interval's own
+/// sequence number (`vc[origin] >= seq`) dominates its whole stamp.
+/// A clock grows only by ticking its own entry, which makes the new
+/// interval's stamp the clock itself, or by joining a clock that
+/// already dominates every stamp it counts; recovery never rolls a
+/// clock back. Debug builds check every query against the linear
+/// `dominates` scan in `reference`.
+#[derive(Debug)]
+pub(crate) struct IntervalLog {
+    /// Every known interval, in learning order.
+    records: Vec<Arc<IntervalRecord>>,
+    /// Per origin: `(seq, position in records)`, ascending by seq.
+    by_origin: Vec<Vec<(u32, u32)>>,
+}
+
+impl IntervalLog {
+    /// An empty log for a cluster of `nodes`.
+    pub fn new(nodes: usize) -> Self {
+        IntervalLog {
+            records: Vec::new(),
+            by_origin: vec![Vec::new(); nodes],
+        }
+    }
+
+    /// Every known interval, in learning order.
+    pub fn records(&self) -> &[Arc<IntervalRecord>] {
+        &self.records
+    }
+
+    /// Whether interval `(origin, seq)` is known.
+    pub fn contains(&self, origin: NodeId, seq: u32) -> bool {
+        self.by_origin[origin]
+            .binary_search_by_key(&seq, |&(s, _)| s)
+            .is_ok()
+    }
+
+    /// Records an interval (deduplicated by `(origin, seq)`). Returns
+    /// true if it was new.
+    pub fn learn(&mut self, rec: &Arc<IntervalRecord>) -> bool {
+        let seq = rec.seq();
+        let list = &mut self.by_origin[rec.origin];
+        // Piggybacked diff replies can teach (o, 5) before (o, 4), so
+        // insert at the sorted position rather than appending.
+        let at = list.partition_point(|&(s, _)| s < seq);
+        if list.get(at).is_some_and(|&(s, _)| s == seq) {
+            return false;
+        }
+        let pos = u32::try_from(self.records.len()).expect("interval log fits u32 positions");
+        list.insert(at, (seq, pos));
+        self.records.push(Arc::clone(rec));
+        true
+    }
+
+    /// Intervals `vc` does not dominate — the write notices to
+    /// piggyback on a grant, barrier message or diff reply — in
+    /// learning order.
+    pub fn unknown_to(&self, vc: &VectorClock) -> Vec<Arc<IntervalRecord>> {
+        let mut at = Vec::new();
+        for (origin, list) in self.by_origin.iter().enumerate() {
+            let known = vc.get(origin);
+            let from = list.partition_point(|&(s, _)| s <= known);
+            at.extend(list[from..].iter().map(|&(_, pos)| pos));
+        }
+        let out = self.in_log_order(at);
+        #[cfg(debug_assertions)]
+        check_against_scan(&out, &reference::unknown_to(self, vc));
+        out
+    }
+
+    /// `origin`'s intervals that dirtied `page`, in learning order.
+    pub fn of_origin_touching(&self, origin: NodeId, page: PageId) -> Vec<Arc<IntervalRecord>> {
+        let at = self.by_origin[origin]
             .iter()
-            .filter(|rec| !vc.dominates(&rec.stamp))
+            .map(|&(_, pos)| pos)
+            .filter(|&pos| self.records[pos as usize].pages.contains(&page))
+            .collect();
+        let out = self.in_log_order(at);
+        #[cfg(debug_assertions)]
+        check_against_scan(&out, &reference::of_origin_touching(self, origin, page));
+        out
+    }
+
+    /// Intervals not from `except` that dirtied `page` and that `vc`
+    /// dominates, in learning order: the history a directory home
+    /// re-serves to a requester whose pruned notice board lacks it.
+    pub fn known_to_touching(
+        &self,
+        vc: &VectorClock,
+        page: PageId,
+        except: NodeId,
+    ) -> Vec<Arc<IntervalRecord>> {
+        let mut at = Vec::new();
+        for (origin, list) in self.by_origin.iter().enumerate() {
+            if origin == except {
+                continue;
+            }
+            let known = vc.get(origin);
+            let upto = list.partition_point(|&(s, _)| s <= known);
+            at.extend(
+                list[..upto]
+                    .iter()
+                    .map(|&(_, pos)| pos)
+                    .filter(|&pos| self.records[pos as usize].pages.contains(&page)),
+            );
+        }
+        let out = self.in_log_order(at);
+        #[cfg(debug_assertions)]
+        check_against_scan(&out, &reference::known_to_touching(self, vc, page, except));
+        out
+    }
+
+    /// The records at log positions `at`, sorted back into learning
+    /// order (callers gather positions origin by origin).
+    fn in_log_order(&self, mut at: Vec<u32>) -> Vec<Arc<IntervalRecord>> {
+        at.sort_unstable();
+        at.into_iter()
+            .map(|pos| Arc::clone(&self.records[pos as usize]))
+            .collect()
+    }
+}
+
+/// Whether two query results name the same records in the same order.
+#[cfg(any(test, debug_assertions))]
+fn same_records(a: &[Arc<IntervalRecord>], b: &[Arc<IntervalRecord>]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
+}
+
+/// Debug builds: panics unless an indexed query returned exactly what
+/// the linear scan does.
+#[cfg(debug_assertions)]
+fn check_against_scan(indexed: &[Arc<IntervalRecord>], scanned: &[Arc<IntervalRecord>]) {
+    assert!(
+        same_records(indexed, scanned),
+        "interval index diverged from the linear scan: {indexed:?} vs {scanned:?}"
+    );
+}
+
+/// Linear scans over the whole log with the full `dominates` test:
+/// the definition each indexed [`IntervalLog`] query must reproduce,
+/// record for record and in order.
+#[cfg(any(test, debug_assertions))]
+mod reference {
+    use super::*;
+
+    fn scan(log: &IntervalLog, keep: impl Fn(&IntervalRecord) -> bool) -> Vec<Arc<IntervalRecord>> {
+        log.records
+            .iter()
+            .filter(|rec| keep(rec))
             .cloned()
             .collect()
     }
 
-    /// Records an interval in the knowledge log (deduplicated).
-    /// Returns true if it was new.
-    pub fn learn_interval(&mut self, rec: &IntervalRecord) -> bool {
-        let key = (rec.origin, rec.stamp.get(rec.origin));
-        if self.known_set.contains(&key) {
-            return false;
-        }
-        self.known_set.insert(key);
-        self.known_intervals.push(rec.clone());
-        true
+    /// See [`IntervalLog::unknown_to`].
+    pub fn unknown_to(log: &IntervalLog, vc: &VectorClock) -> Vec<Arc<IntervalRecord>> {
+        scan(log, |rec| !vc.dominates(&rec.stamp))
+    }
+
+    /// See [`IntervalLog::of_origin_touching`].
+    pub fn of_origin_touching(
+        log: &IntervalLog,
+        origin: NodeId,
+        page: PageId,
+    ) -> Vec<Arc<IntervalRecord>> {
+        scan(log, |rec| rec.origin == origin && rec.pages.contains(&page))
+    }
+
+    /// See [`IntervalLog::known_to_touching`].
+    pub fn known_to_touching(
+        log: &IntervalLog,
+        vc: &VectorClock,
+        page: PageId,
+        except: NodeId,
+    ) -> Vec<Arc<IntervalRecord>> {
+        scan(log, |rec| {
+            rec.origin != except && rec.pages.contains(&page) && vc.dominates(&rec.stamp)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn record(origin: NodeId, ticks: u32, nodes: usize) -> IntervalRecord {
+    fn record(origin: NodeId, ticks: u32, nodes: usize) -> Arc<IntervalRecord> {
         let mut stamp = VectorClock::new(nodes);
         for _ in 0..ticks {
             stamp.tick(origin);
         }
-        IntervalRecord {
+        Arc::new(IntervalRecord {
             origin,
             stamp,
             pages: vec![PageId::new(0)],
-        }
+        })
     }
 
     #[test]
@@ -463,23 +626,199 @@ mod tests {
     fn learn_interval_dedupes() {
         let mut n = NodeState::new(0, 2, 1);
         let rec = record(1, 1, 2);
-        assert!(n.learn_interval(&rec));
-        assert!(!n.learn_interval(&rec));
-        assert_eq!(n.known_intervals.len(), 1);
+        assert!(n.known_intervals.learn(&rec));
+        // A different record with the same (origin, seq) key is a
+        // duplicate too.
+        assert!(!n.known_intervals.learn(&record(1, 1, 2)));
+        assert_eq!(n.known_intervals.records().len(), 1);
+        assert!(Arc::ptr_eq(&n.known_intervals.records()[0], &rec));
+        assert!(n.known_intervals.contains(1, 1));
+        assert!(!n.known_intervals.contains(1, 2));
+        assert!(!n.known_intervals.contains(0, 1));
     }
 
     #[test]
     fn intervals_unknown_to_filters_by_domination() {
         let mut n = NodeState::new(0, 2, 1);
-        n.learn_interval(&record(1, 1, 2));
-        n.learn_interval(&record(1, 2, 2));
+        n.known_intervals.learn(&record(1, 1, 2));
+        n.known_intervals.learn(&record(1, 2, 2));
         let mut knows_one = VectorClock::new(2);
         knows_one.tick(1);
-        let unknown = n.intervals_unknown_to(&knows_one);
+        let unknown = n.known_intervals.unknown_to(&knows_one);
         assert_eq!(unknown.len(), 1);
         assert_eq!(unknown[0].stamp.get(1), 2);
         let knows_none = VectorClock::new(2);
-        assert_eq!(n.intervals_unknown_to(&knows_none).len(), 2);
+        assert_eq!(n.known_intervals.unknown_to(&knows_none).len(), 2);
+    }
+
+    #[test]
+    fn out_of_order_learning_keeps_log_order() {
+        let mut log = IntervalLog::new(3);
+        let (late, early, other) = (record(1, 2, 3), record(1, 1, 3), record(2, 1, 3));
+        assert!(log.learn(&late));
+        assert!(log.learn(&other));
+        assert!(log.learn(&early));
+        assert!(!log.learn(&late));
+        assert!(log.contains(1, 1) && log.contains(1, 2) && log.contains(2, 1));
+        // Results come back in learning order, not sequence order.
+        let all = log.unknown_to(&VectorClock::new(3));
+        assert!(same_records(&all, &[late.clone(), other.clone(), early]));
+        let knows_first = VectorClock::from_entries(&[0, 1, 0]);
+        assert!(same_records(&log.unknown_to(&knows_first), &[late, other]));
+    }
+
+    #[test]
+    fn touching_queries_filter_by_page_origin_and_clock() {
+        let mut log = IntervalLog::new(3);
+        let page = |i| PageId::new(i);
+        let rec = |origin, entries: &[u32], pages: Vec<PageId>| {
+            Arc::new(IntervalRecord {
+                origin,
+                stamp: VectorClock::from_entries(entries),
+                pages,
+            })
+        };
+        let a = rec(0, &[1, 0, 0], vec![page(0), page(1)]);
+        let b = rec(1, &[1, 1, 0], vec![page(1)]);
+        let c = rec(0, &[2, 1, 0], vec![page(1)]);
+        let d = rec(2, &[0, 0, 1], vec![page(0)]);
+        for r in [&a, &b, &c, &d] {
+            log.learn(r);
+        }
+        assert!(same_records(
+            &log.of_origin_touching(0, page(1)),
+            &[a.clone(), c.clone()]
+        ));
+        assert!(same_records(
+            &log.of_origin_touching(0, page(0)),
+            std::slice::from_ref(&a)
+        ));
+        assert!(log.of_origin_touching(1, page(0)).is_empty());
+        // A requester at [1,1,1] knows a, b, d but not c; its own
+        // intervals (origin 2) are never re-served.
+        let vc = VectorClock::from_entries(&[1, 1, 1]);
+        assert!(same_records(
+            &log.known_to_touching(&vc, page(1), 2),
+            &[a.clone(), b]
+        ));
+        assert!(same_records(&log.known_to_touching(&vc, page(0), 2), &[a]));
+    }
+
+    /// The per-node state of a random causal history: each node's
+    /// clock and interval log, built with the engine's operations.
+    struct History {
+        vcs: Vec<VectorClock>,
+        logs: Vec<IntervalLog>,
+        /// Clocks nodes held earlier, like a `last_release_vc`.
+        past: Vec<VectorClock>,
+    }
+
+    const PAGES: u32 = 4;
+
+    impl History {
+        fn new(nodes: usize) -> Self {
+            History {
+                vcs: vec![VectorClock::new(nodes); nodes],
+                logs: (0..nodes).map(|_| IntervalLog::new(nodes)).collect(),
+                past: Vec::new(),
+            }
+        }
+
+        /// Node `a` closes an interval dirtying the pages in `mask`.
+        fn close(&mut self, a: NodeId, mask: u8) {
+            self.vcs[a].tick(a);
+            let rec = Arc::new(IntervalRecord {
+                origin: a,
+                stamp: self.vcs[a].clone(),
+                pages: (0..PAGES)
+                    .filter(|p| mask & (1 << p) != 0)
+                    .map(PageId::new)
+                    .collect(),
+            });
+            assert!(self.logs[a].learn(&rec));
+        }
+
+        /// `b` learns what `a` knows and `b`'s clock lacks, in an
+        /// order shuffled by `seed`. A synchronization (`join`)
+        /// learns all of it and joins `a`'s clock; a diff reply may
+        /// deliver only some (`keep` bits) and leaves the clock.
+        fn transfer(&mut self, a: NodeId, b: NodeId, seed: u64, join: bool) {
+            let mut recs = self.logs[a].unknown_to(&self.vcs[b]);
+            let mut rng = proptest::TestRng::from_name(&seed.to_string());
+            for i in (1..recs.len()).rev() {
+                recs.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            for rec in &recs {
+                if join || rng.below(2) == 0 {
+                    self.logs[b].learn(rec);
+                }
+            }
+            if join {
+                self.past.push(self.vcs[b].clone());
+                let from = self.vcs[a].clone();
+                self.vcs[b].join(&from);
+            }
+        }
+
+        /// Every indexed query on every log, against every clock seen,
+        /// must match the linear scan record for record and in order.
+        fn check(&self) {
+            let nodes = self.vcs.len();
+            for log in &self.logs {
+                for rec in log.records() {
+                    assert!(log.contains(rec.origin, rec.seq()));
+                }
+                for vc in self.vcs.iter().chain(&self.past) {
+                    assert!(same_records(
+                        &log.unknown_to(vc),
+                        &reference::unknown_to(log, vc)
+                    ));
+                    for page in (0..PAGES).map(PageId::new) {
+                        for except in 0..nodes {
+                            assert!(same_records(
+                                &log.known_to_touching(vc, page, except),
+                                &reference::known_to_touching(log, vc, page, except)
+                            ));
+                        }
+                    }
+                }
+                for origin in 0..nodes {
+                    for page in (0..PAGES).map(PageId::new) {
+                        assert!(same_records(
+                            &log.of_origin_touching(origin, page),
+                            &reference::of_origin_touching(log, origin, page)
+                        ));
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The index reproduces the linear `dominates` scan over random
+        /// multi-origin histories with out-of-order learning.
+        #[test]
+        fn index_matches_linear_scan(
+            nodes in 2usize..=5,
+            ops in prop::collection::vec(
+                (0u8..4, 0usize..5, 0usize..5, 1u8..16, any::<u64>()),
+                1..48,
+            ),
+        ) {
+            let mut h = History::new(nodes);
+            for (kind, a, b, mask, seed) in ops {
+                let (a, b) = (a % nodes, b % nodes);
+                match kind {
+                    0 | 1 => h.close(a, mask),
+                    2 if a != b => h.transfer(a, b, seed, true),
+                    3 if a != b => h.transfer(a, b, seed, false),
+                    _ => {}
+                }
+            }
+            h.check();
+        }
     }
 
     #[test]

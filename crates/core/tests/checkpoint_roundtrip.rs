@@ -113,6 +113,7 @@ proptest! {
     ) {
         let ckpt = build_checkpoint(node, epoch, &vc, &pages, &diffs, &intervals, &tokens);
         let bytes = ckpt.encode();
+        prop_assert_eq!(ckpt.encoded_len(), bytes.len());
         let back = Checkpoint::decode(&bytes).expect("decode");
         prop_assert_eq!(&back, &ckpt);
         prop_assert_eq!(back.digest(), ckpt.digest());
