@@ -5,8 +5,8 @@
 //! type. The experiment harness sweeps over `Benchmark::ALL`.
 
 use rsdsm_core::{
-    golden_run, DsmConfig, GoldenRun, GrantRecord, PrefetchConfig, QueueBackend, RunReport,
-    SimError, Simulation, Trace,
+    golden_run, DsmConfig, GoldenRun, GrantRecord, PrefetchConfig, RunReport, SimError, Simulation,
+    Trace,
 };
 
 use crate::fft::FftApp;
@@ -217,41 +217,6 @@ impl Benchmark {
     pub fn run(self, scale: Scale, cfg: DsmConfig) -> Result<RunReport, SimError> {
         let sim = Simulation::new(cfg);
         with_app!(self, scale, |app| sim.run(&app))
-    }
-
-    /// Runs the benchmark like [`Benchmark::run`] on an explicitly
-    /// chosen event-queue backend. Backend choice can never change
-    /// results (the wheel and the heap reference are pop-for-pop
-    /// identical); this entry point exists so differential tests can
-    /// pin exactly that, race-free, without touching `RSDSM_QUEUE`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`SimError`] from the engine.
-    pub fn run_queued(
-        self,
-        scale: Scale,
-        cfg: DsmConfig,
-        backend: QueueBackend,
-    ) -> Result<RunReport, SimError> {
-        let sim = Simulation::new(cfg).with_queue_backend(backend);
-        with_app!(self, scale, |app| sim.run(&app))
-    }
-
-    /// [`Benchmark::run_traced`] on an explicitly chosen event-queue
-    /// backend; see [`Benchmark::run_queued`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`SimError`] from the engine.
-    pub fn run_traced_queued(
-        self,
-        scale: Scale,
-        cfg: DsmConfig,
-        backend: QueueBackend,
-    ) -> Result<(RunReport, Trace), SimError> {
-        let sim = Simulation::new(cfg).with_queue_backend(backend);
-        with_app!(self, scale, |app| sim.run_traced(&app))
     }
 
     /// Runs the benchmark at `scale` under `cfg` with event tracing

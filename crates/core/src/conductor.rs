@@ -10,19 +10,23 @@
 //!
 //! [`DsmCtx`] is the API visible to applications: typed reads/writes
 //! on [`SharedVec`] handles, locks, barriers, prefetches, and explicit
-//! compute-time charging.
+//! compute-time charging. [`conduct`] is the driver side: it spawns
+//! the threads and hands the driver (the engine, or the golden
+//! scheduler) a [`Conductor`] to resume them with.
 
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread;
 
 use rsdsm_protocol::PageId;
 use rsdsm_simnet::SimDuration;
 
-use crate::config::PrefetchConfig;
+use crate::config::{DsmConfig, PrefetchConfig};
 use crate::costs::CostModel;
 use crate::heap::{Pod, SharedVec};
 use crate::msg::{BarrierId, LockId};
 use crate::node::NodeMem;
+use crate::program::DsmProgram;
 use crate::thread::ThreadId;
 
 /// A request from an application thread to the engine.
@@ -79,6 +83,89 @@ pub(crate) struct CallMsg {
 /// livelock bugs into a clear panic rather than a hang.
 const MAX_FAULT_RETRIES: u32 = 100_000;
 
+/// The driver's ends of every application thread's channel pair.
+pub(crate) struct Conductor {
+    resume_tx: Vec<Sender<()>>,
+    call_rx: Vec<Receiver<CallMsg>>,
+}
+
+impl Conductor {
+    /// Resumes thread `t` and blocks until it yields its next
+    /// syscall. `None` when the thread is gone (it panicked).
+    pub(crate) fn resume(&self, t: usize) -> Option<CallMsg> {
+        self.resume_tx[t].send(()).ok()?;
+        self.call_rx[t].recv().ok()
+    }
+}
+
+/// Runs `app` with one OS thread per application thread of `cfg`,
+/// under `drive`, which gets the [`Conductor`] and is the only code
+/// that resumes them. Thread `t` runs on node
+/// `t / cfg.threads.threads_per_node` with `cfg`'s costs and prefetch
+/// mode, over the shared `mem`.
+///
+/// Returns `drive`'s result and the message of the first application
+/// panic, if any. `drive` consumes the conductor, so the resume
+/// channels close when it returns: a thread still blocked then wakes,
+/// panics inside its `catch_unwind`, and the scope's join completes.
+pub(crate) fn conduct<P: DsmProgram, R>(
+    app: &P,
+    handles: &P::Handles,
+    mem: &Arc<Mutex<Vec<NodeMem>>>,
+    cfg: &DsmConfig,
+    drive: impl FnOnce(Conductor) -> R,
+) -> (R, Option<String>) {
+    let total_threads = cfg.total_threads();
+    let mut conductor = Conductor {
+        resume_tx: Vec::with_capacity(total_threads),
+        call_rx: Vec::with_capacity(total_threads),
+    };
+    let mut ctxs = Vec::with_capacity(total_threads);
+    for t in 0..total_threads {
+        let (resume_tx, resume_rx) = mpsc::channel();
+        let (call_tx, call_rx) = mpsc::channel();
+        conductor.resume_tx.push(resume_tx);
+        conductor.call_rx.push(call_rx);
+        ctxs.push(DsmCtx {
+            tid: ThreadId(t),
+            node: t / cfg.threads.threads_per_node,
+            num_threads: total_threads,
+            mem: Arc::clone(mem),
+            costs: cfg.costs.clone(),
+            prefetch_cfg: cfg.prefetch.clone(),
+            resume_rx,
+            call_tx,
+            pending: Charges::default(),
+        });
+    }
+
+    let panic_note: Mutex<Option<String>> = Mutex::new(None);
+    let result = thread::scope(|s| {
+        for mut ctx in ctxs {
+            let note = &panic_note;
+            let h = handles.clone();
+            s.spawn(move || {
+                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    ctx.wait_start();
+                    app.run(&mut ctx, &h);
+                    ctx.exit();
+                }));
+                if let Err(payload) = res {
+                    let msg = payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_else(|| "<non-string panic>".to_string());
+                    let mut slot = note.lock().expect("panic note mutex");
+                    slot.get_or_insert(msg);
+                }
+            });
+        }
+        drive(conductor)
+    });
+    (result, panic_note.into_inner().expect("panic note mutex"))
+}
+
 /// The per-thread handle to the simulated DSM.
 ///
 /// Obtained by the engine and passed to
@@ -99,33 +186,9 @@ pub struct DsmCtx {
 }
 
 impl DsmCtx {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        tid: ThreadId,
-        node: usize,
-        num_threads: usize,
-        mem: Arc<Mutex<Vec<NodeMem>>>,
-        costs: CostModel,
-        prefetch_cfg: PrefetchConfig,
-        resume_rx: Receiver<()>,
-        call_tx: Sender<CallMsg>,
-    ) -> Self {
-        DsmCtx {
-            tid,
-            node,
-            num_threads,
-            mem,
-            costs,
-            prefetch_cfg,
-            resume_rx,
-            call_tx,
-            pending: Charges::default(),
-        }
-    }
-
     /// Blocks until the engine first resumes this thread. Called once
     /// by the thread shim before entering application code.
-    pub(crate) fn wait_start(&self) {
+    fn wait_start(&self) {
         self.resume_rx
             .recv()
             .expect("engine dropped before thread start");
@@ -315,7 +378,7 @@ impl DsmCtx {
 
     /// Signals the engine that this thread finished. Called by the
     /// thread shim after application code returns.
-    pub(crate) fn exit(&mut self) {
+    fn exit(&mut self) {
         let charges = std::mem::take(&mut self.pending);
         // Exit is fire-and-forget: the engine marks the thread done
         // and never resumes it.
@@ -339,7 +402,6 @@ impl DsmCtx {
                 let mut mem = self.mem.lock().expect("mem mutex");
                 let m = &mut mem[self.node];
                 if m.pages[page.index()].valid {
-                    m.counters.fast_accesses += 1;
                     self.pending.busy += self.costs.access_check;
                     if write && m.pages[page.index()].twin.is_none() {
                         // Split borrows: the twin buffer comes from the

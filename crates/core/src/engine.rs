@@ -9,14 +9,11 @@
 //! [`CostModel`](crate::CostModel) to the per-node accounts that
 //! become the paper's execution-time breakdowns.
 
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread;
 
 use rsdsm_protocol::{CachedDiff, Diff, Page, PageId, VectorClock, WriteNotice};
 use rsdsm_simnet::{
-    EventQueue, HeapQueue, Network, NodeId, PersistDevice, QueueBackend, Reliability, SimDuration,
-    SimTime, Topology,
+    EventQueue, Network, NodeId, PersistDevice, Reliability, SimDuration, SimTime, Topology,
 };
 
 use crate::accounting::{Category, IdleReason};
@@ -25,7 +22,7 @@ use crate::checkpoint::{
     classify_slot, commit_region, payload_region, slot_for_seq, Checkpoint, CommitRecord,
     SlotState, SLOT_COUNT, SLOT_REGIONS,
 };
-use crate::conductor::{CallMsg, Charges, DsmCtx, Syscall};
+use crate::conductor::{conduct, Charges, Conductor, Syscall};
 use crate::config::{DirectoryPolicy, DsmConfig};
 use crate::heap::Heap;
 use crate::lock::{AcquireOutcome, ForwardOutcome, GrantOutcome, ReleaseOutcome, RemoteWaiter};
@@ -90,10 +87,8 @@ enum Event {
     Rejoin(NodeId),
 }
 
-/// Engine-side handle to one application thread.
+/// Engine-side state of one application thread.
 struct ThreadPeer {
-    resume_tx: Sender<()>,
-    call_rx: Receiver<CallMsg>,
     state: ThreadState,
     pending_syscall: Option<Syscall>,
     run_busy: rsdsm_simnet::SimDuration,
@@ -231,65 +226,23 @@ fn unshare(body: Arc<MsgBody>) -> MsgBody {
     Arc::try_unwrap(body).unwrap_or_else(|shared| (*shared).clone())
 }
 
-/// Trace message-class code for a protocol body.
-fn kind_code(body: &MsgBody) -> u8 {
-    match body.kind() {
-        "diff_request" => kind::DIFF_REQUEST,
-        "diff_reply" => kind::DIFF_REPLY,
-        "prefetch_request" => kind::PREFETCH_REQUEST,
-        "prefetch_reply" => kind::PREFETCH_REPLY,
-        "adaptive_request" => kind::ADAPTIVE_REQUEST,
-        "adaptive_reply" => kind::ADAPTIVE_REPLY,
-        "lock_request" => kind::LOCK_REQUEST,
-        "lock_forward" => kind::LOCK_FORWARD,
-        "lock_grant" => kind::LOCK_GRANT,
-        "barrier_arrive" => kind::BARRIER_ARRIVE,
-        "barrier_release" => kind::BARRIER_RELEASE,
-        "suspect_report" => kind::SUSPECT_REPORT,
-        _ => kind::RECOVERY_START,
-    }
-}
-
 /// A configured simulation, ready to run programs.
 ///
 /// See [`DsmProgram`] for a complete end-to-end example.
 #[derive(Debug, Clone)]
 pub struct Simulation {
     cfg: DsmConfig,
-    backend: QueueBackend,
 }
 
 impl Simulation {
     /// Creates a simulation with the given configuration.
     pub fn new(cfg: DsmConfig) -> Self {
-        Simulation {
-            cfg,
-            backend: QueueBackend::default(),
-        }
+        Simulation { cfg }
     }
 
     /// The configuration this simulation runs with.
     pub fn config(&self) -> &DsmConfig {
         &self.cfg
-    }
-
-    /// Selects the event-queue implementation the engine runs on.
-    ///
-    /// The timing wheel ([`QueueBackend::Wheel`]) is the default;
-    /// the binary-heap reference exists for differential testing.
-    /// Both produce identical results — same pop order, same report
-    /// and trace digests — so this knob only affects wall-clock
-    /// throughput. The `RSDSM_QUEUE` environment variable
-    /// (`wheel`/`heap`) overrides this setting globally.
-    pub fn with_queue_backend(mut self, backend: QueueBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The event-queue implementation this simulation runs on
-    /// (before any `RSDSM_QUEUE` override).
-    pub fn queue_backend(&self) -> QueueBackend {
-        self.backend
     }
 
     /// Runs `app` to completion and reports every measurement.
@@ -338,8 +291,6 @@ impl Simulation {
             }
         }
         let total_pages = heap.page_count();
-        let tpn = cfg.threads.threads_per_node;
-        let total_threads = cfg.total_threads();
 
         let mem: Arc<Mutex<Vec<NodeMem>>> = Arc::new(Mutex::new(
             (0..cfg.nodes)
@@ -351,92 +302,33 @@ impl Simulation {
                 })
                 .collect(),
         ));
-        let panic_note: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-
-        let mut peers = Vec::with_capacity(total_threads);
-        let mut ctxs = Vec::with_capacity(total_threads);
-        for t in 0..total_threads {
-            let (resume_tx, resume_rx) = mpsc::channel();
-            let (call_tx, call_rx) = mpsc::channel();
-            peers.push(ThreadPeer {
-                resume_tx,
-                call_rx,
-                state: ThreadState::Ready,
-                pending_syscall: None,
-                run_busy: rsdsm_simnet::SimDuration::ZERO,
-                last_block: None,
-            });
-            ctxs.push(DsmCtx::new(
-                ThreadId(t),
-                t / tpn,
-                total_threads,
-                Arc::clone(&mem),
-                cfg.costs.clone(),
-                cfg.prefetch.clone(),
-                resume_rx,
-                call_tx,
-            ));
-        }
-
-        let scope_result = thread::scope(|s| {
-            for mut ctx in ctxs {
-                let note = Arc::clone(&panic_note);
-                let h = handles.clone();
-                s.spawn(move || {
-                    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        ctx.wait_start();
-                        app.run(&mut ctx, &h);
-                        ctx.exit();
-                    }));
-                    if let Err(payload) = res {
-                        let msg = payload
-                            .downcast_ref::<String>()
-                            .cloned()
-                            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                            .unwrap_or_else(|| "<non-string panic>".to_string());
-                        let mut slot = note.lock().expect("panic note mutex");
-                        slot.get_or_insert(msg);
-                    }
-                });
-            }
-            let mut core = Core::new(cfg, heap, Arc::clone(&mem), peers, traced, self.backend);
-            match core.run_loop() {
-                Ok(finish) => {
-                    core.finish_accounts(finish);
-                    Ok((
-                        finish,
-                        core.heap,
-                        core.nodes,
-                        core.net,
-                        core.transport,
-                        core.oracle,
-                        core.recov.stats,
-                        core.events_processed,
-                        core.tracer.finish(),
+        let (result, panic_note) = conduct(app, &handles, &mem, cfg, |conductor| {
+            let mut core = Core::new(cfg, heap, Arc::clone(&mem), conductor, traced);
+            let finish = core.run_loop()?;
+            core.finish_accounts(finish);
+            Ok((
+                finish,
+                core.heap,
+                core.nodes,
+                core.net,
+                core.transport,
+                core.oracle,
+                core.recov.stats,
+                core.events_processed,
+                core.tracer.finish(),
+            ))
+        });
+        let (finish, heap, nodes, net, transport, oracle_state, recovery_stats, events, trace) =
+            match (result, panic_note) {
+                (Err(SimError::AppThread(_)), note) => {
+                    return Err(SimError::AppThread(
+                        note.unwrap_or_else(|| "unknown panic".to_string()),
                     ))
                 }
-                Err(e) => {
-                    // Dropping the core drops the resume channels,
-                    // unblocking (and terminating) any stuck threads
-                    // so the scope join below completes.
-                    drop(core);
-                    Err(e)
-                }
-            }
-        });
-
-        let (finish, heap, nodes, net, transport, oracle_state, recovery_stats, events, trace) =
-            scope_result.map_err(|e| {
-                if let SimError::AppThread(_) = e {
-                    let note = panic_note.lock().expect("panic note mutex").take();
-                    SimError::AppThread(note.unwrap_or_else(|| "unknown panic".to_string()))
-                } else {
-                    e
-                }
-            })?;
-        if let Some(msg) = panic_note.lock().expect("panic note mutex").take() {
-            return Err(SimError::AppThread(msg));
-        }
+                (Err(e), _) => return Err(e),
+                (Ok(_), Some(msg)) => return Err(SimError::AppThread(msg)),
+                (Ok(parts), None) => parts,
+            };
 
         let mem_guard = mem.lock().expect("mem mutex");
         let pages = materialize(&heap, &nodes, &mem_guard);
@@ -503,51 +395,6 @@ impl Simulation {
     }
 }
 
-/// The engine's event queue: the timing wheel by default, the
-/// binary-heap reference when selected. Both implement the identical
-/// earliest-time, FIFO-tie-broken contract (differentially tested in
-/// simnet), so the choice can never change simulation results.
-// The wheel variant is ~1 KB of wheel headers (slot storage is on the
-// heap regardless). Exactly one Queue lives for a whole simulation,
-// inline in the engine — boxing it would buy nothing and cost a
-// pointer chase on every event push and pop.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Queue {
-    Wheel(EventQueue<Event>),
-    Heap(HeapQueue<Event>),
-}
-
-impl Queue {
-    fn with_capacity(backend: QueueBackend, capacity: usize) -> Self {
-        match backend {
-            QueueBackend::Wheel => Queue::Wheel(EventQueue::with_capacity(capacity)),
-            QueueBackend::Heap => Queue::Heap(HeapQueue::with_capacity(capacity)),
-        }
-    }
-
-    fn push(&mut self, at: SimTime, event: Event) {
-        match self {
-            Queue::Wheel(q) => q.push(at, event),
-            Queue::Heap(q) => q.push(at, event),
-        }
-    }
-
-    fn push_batch<I: IntoIterator<Item = (SimTime, Event)>>(&mut self, events: I) {
-        match self {
-            Queue::Wheel(q) => q.push_batch(events),
-            Queue::Heap(q) => q.push_batch(events),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, Event)> {
-        match self {
-            Queue::Wheel(q) => q.pop(),
-            Queue::Heap(q) => q.pop(),
-        }
-    }
-}
-
 /// The running engine.
 struct Core<'a> {
     cfg: &'a DsmConfig,
@@ -566,8 +413,9 @@ struct Core<'a> {
     nodes: Vec<NodeState>,
     net: Network,
     transport: Transport<Arc<MsgBody>>,
-    queue: Queue,
+    queue: EventQueue<Event>,
     threads: Vec<ThreadPeer>,
+    conductor: Conductor,
     barrier_mgr: BarrierManager,
     barrier_vcs: std::collections::HashMap<BarrierId, VectorClock>,
     /// The consistency oracle (invariant violations, lock-grant
@@ -581,10 +429,6 @@ struct Core<'a> {
     /// Structured event tracing (see [`crate::trace`]); inert unless
     /// the run was started via [`Simulation::run_traced`].
     tracer: Tracer,
-    /// Event tracing to stderr, enabled by the RSDSM_TRACE env var.
-    trace: bool,
-    /// Byte-range watch (RSDSM_WATCH="page,lo,hi"), for diagnostics.
-    watch: Option<(usize, usize, usize)>,
 }
 
 /// The barrier manager lives on node 0, as in TreadMarks.
@@ -595,24 +439,14 @@ impl<'a> Core<'a> {
         cfg: &'a DsmConfig,
         heap: Heap,
         mem: Arc<Mutex<Vec<NodeMem>>>,
-        threads: Vec<ThreadPeer>,
+        conductor: Conductor,
         traced: bool,
-        backend: QueueBackend,
     ) -> Self {
         let tpn = cfg.threads.threads_per_node;
-        // RSDSM_QUEUE=heap|wheel is the global escape hatch; it wins
-        // over the programmatic selection. Harmless either way: both
-        // backends are pop-for-pop identical.
-        let backend = match std::env::var("RSDSM_QUEUE").as_deref() {
-            Ok("heap") => QueueBackend::Heap,
-            Ok("wheel") => QueueBackend::Wheel,
-            _ => backend,
-        };
-        let mut queue = Queue::with_capacity(
-            backend,
-            threads.len() + cfg.faults.crashes.len() + cfg.nodes + 64,
-        );
-        queue.push_batch((0..threads.len()).map(|t| (SimTime::ZERO, Event::Start(ThreadId(t)))));
+        let total_threads = cfg.total_threads();
+        let mut queue =
+            EventQueue::with_capacity(total_threads + cfg.faults.crashes.len() + cfg.nodes + 64);
+        queue.push_batch((0..total_threads).map(|t| (SimTime::ZERO, Event::Start(ThreadId(t)))));
         assert!(
             !(cfg.recovery.enabled
                 && cfg.recovery.checkpoint_every == 0
@@ -718,7 +552,15 @@ impl<'a> Core<'a> {
             net,
             transport: Transport::new(cfg.transport.clone()),
             queue,
-            threads,
+            threads: (0..total_threads)
+                .map(|_| ThreadPeer {
+                    state: ThreadState::Ready,
+                    pending_syscall: None,
+                    run_busy: SimDuration::ZERO,
+                    last_block: None,
+                })
+                .collect(),
+            conductor,
             barrier_mgr: BarrierManager::new(cfg.nodes),
             barrier_vcs: std::collections::HashMap::new(),
             oracle: OracleState::new(cfg.oracle.clone(), cfg.nodes),
@@ -726,11 +568,6 @@ impl<'a> Core<'a> {
             done: 0,
             finish: SimTime::ZERO,
             tracer: Tracer::new(traced, cfg.nodes as u32, tpn as u32),
-            trace: std::env::var_os("RSDSM_TRACE").is_some(),
-            watch: std::env::var("RSDSM_WATCH").ok().and_then(|v| {
-                let mut it = v.split(',').map(|x| x.parse().ok());
-                Some((it.next()??, it.next()??, it.next()??))
-            }),
         }
     }
 
@@ -784,27 +621,8 @@ impl<'a> Core<'a> {
             if self.oracle.cfg.invariants {
                 self.oracle.check_event(&self.nodes, now);
             }
-            if self.trace {
-                self.check_token_uniqueness(now);
-            }
         }
         Ok(self.finish)
-    }
-
-    /// Debug invariant: at most one node holds any lock's token.
-    fn check_token_uniqueness(&self, now: SimTime) {
-        let mut holders: std::collections::HashMap<LockId, Vec<NodeId>> =
-            std::collections::HashMap::new();
-        for node in &self.nodes {
-            for lock in node.locks.tokens_held() {
-                holders.entry(lock).or_default().push(node.id);
-            }
-        }
-        for (lock, nodes) in holders {
-            if nodes.len() > 1 {
-                eprintln!("[{now}] TOKEN DUPLICATED for {lock:?}: nodes {nodes:?}");
-            }
-        }
     }
 
     fn describe_blocked(&self) -> String {
@@ -881,9 +699,6 @@ impl<'a> Core<'a> {
     /// rejoin is scheduled immediately — outage plus, when recovery
     /// is on, the modeled restore and replay costs.
     fn on_crash(&mut self, x: NodeId, restart_after: Option<SimDuration>, now: SimTime) {
-        if self.trace {
-            eprintln!("[{now}] CRASH n{x} (restart_after {restart_after:?})");
-        }
         self.tracer.emit(
             now,
             x as u32,
@@ -953,9 +768,6 @@ impl<'a> Core<'a> {
         }
         self.unpark_frames_to(x, now);
         self.recov.detector.clear(x, now);
-        if self.trace {
-            eprintln!("[{now}] RESTART n{x} after {shift}");
-        }
     }
 
     /// Re-arms every parked reliable frame destined for `peer` (it
@@ -1006,9 +818,6 @@ impl<'a> Core<'a> {
             {
                 self.recov.last_sent[n][peer] = now;
                 self.recov.stats.heartbeats_sent += 1;
-                if self.trace {
-                    eprintln!("[{now}] hb n{n} -> n{peer}");
-                }
                 self.charge(
                     n,
                     now,
@@ -1103,9 +912,6 @@ impl<'a> Core<'a> {
         if !self.recov.down[peer] {
             self.recov.stats.false_suspicions += 1;
         }
-        if self.trace {
-            eprintln!("[{now}] n{observer} suspects n{peer}");
-        }
         self.tracer.emit(
             now,
             observer as u32,
@@ -1139,9 +945,6 @@ impl<'a> Core<'a> {
         // is unreachable, not dead. Its suspicion stays parked until
         // the heal reconciles it — no confirmation, no RecoveryStart.
         if self.recov.unreachable[victim] {
-            if self.trace {
-                eprintln!("[{now}] suspicion of n{victim} parked: behind a known cut");
-            }
             return;
         }
         if victim == MANAGER
@@ -1182,9 +985,6 @@ impl<'a> Core<'a> {
         }
         self.recov.detector.mark_down(MANAGER, victim);
         let epoch = self.recov.ckpts[victim].as_ref().map_or(0, |c| c.epoch);
-        if self.trace {
-            eprintln!("[{now}] n{victim} confirmed down; recovering from epoch {epoch}");
-        }
         self.tracer.emit(
             now,
             MANAGER as u32,
@@ -1230,9 +1030,6 @@ impl<'a> Core<'a> {
         let p = self.cfg.faults.partitions[idx].clone();
         let mgr_group = p.group_of(MANAGER);
         self.recov.stats.partitions += 1;
-        if self.trace {
-            eprintln!("[{now}] PARTITION cut {idx} (heals at {})", p.heal_at());
-        }
         for x in 0..self.cfg.nodes {
             if p.group_of(x) == mgr_group || self.recov.down[x] || self.recov.frozen[x] {
                 continue;
@@ -1250,9 +1047,6 @@ impl<'a> Core<'a> {
                 NO_CAUSE,
                 TraceEvent::PartitionFreeze,
             );
-            if self.trace {
-                eprintln!("[{now}] freeze n{x}: outside the majority component");
-            }
         }
         self.queue.push(p.heal_at(), Event::PartitionHeal(idx));
     }
@@ -1272,9 +1066,6 @@ impl<'a> Core<'a> {
             NO_CAUSE,
             TraceEvent::PartitionHeal,
         );
-        if self.trace {
-            eprintln!("[{now}] PARTITION heal {idx}");
-        }
         for x in 0..self.cfg.nodes {
             if p.group_of(x) == mgr_group || !self.recov.frozen[x] {
                 continue;
@@ -1330,9 +1121,6 @@ impl<'a> Core<'a> {
         }
         self.unpark_frames_to(x, now);
         self.recov.detector.clear(x, now);
-        if self.trace {
-            eprintln!("[{now}] REJOIN n{x} after {shift}");
-        }
     }
 
     /// Modeled time to reload `x`'s last checkpoint on a replacement.
@@ -1395,9 +1183,6 @@ impl<'a> Core<'a> {
             at
         };
         self.recov.ckpts[n] = Some(ckpt);
-        if self.trace {
-            eprintln!("checkpoint n{n} epoch {epoch} ({bytes} bytes)");
-        }
         end
     }
 
@@ -1443,12 +1228,6 @@ impl<'a> Core<'a> {
                 bytes: image_bytes as u32,
             },
         );
-        if self.trace {
-            eprintln!(
-                "persist n{n} epoch {} slot {slot} seq {seq} ({image_bytes} bytes, done {committed})",
-                ckpt.epoch
-            );
-        }
         self.charge(
             n,
             at,
@@ -1490,13 +1269,6 @@ impl<'a> Core<'a> {
                 if seq < self.recov.persist_seq[x] {
                     self.recov.stats.slot_fallbacks += 1;
                 }
-                if self.trace {
-                    eprintln!(
-                        "[{now}] n{x} device: restore epoch {} from slot {slot} \
-                         (seq {seq} of {}, {torn} torn)",
-                        ckpt.epoch, self.recov.persist_seq[x]
-                    );
-                }
                 self.recov.restore_bytes[x] =
                     (ckpt.encode_segmented().len() + crate::checkpoint::COMMIT_LEN) as u64;
                 self.recov.busy_at_ckpt[x] = self.recov.busy_at_slot[x][slot];
@@ -1505,9 +1277,6 @@ impl<'a> Core<'a> {
             None => {
                 // Nothing committed yet (the crash predates the first
                 // durable checkpoint): recovery restarts from scratch.
-                if self.trace {
-                    eprintln!("[{now}] n{x} device: no committed slot ({torn} torn)");
-                }
                 self.recov.restore_bytes[x] = 0;
                 self.recov.busy_at_ckpt[x] = SimDuration::ZERO;
                 self.recov.ckpts[x] = None;
@@ -1617,15 +1386,10 @@ impl<'a> Core<'a> {
         idle: Option<IdleReason>,
     ) -> Result<(), SimError> {
         let n = tid.node(self.tpn());
-        let call = {
-            let peer = &mut self.threads[tid.0];
-            peer.resume_tx
-                .send(())
-                .map_err(|_| SimError::AppThread(String::new()))?;
-            peer.call_rx
-                .recv()
-                .map_err(|_| SimError::AppThread(String::new()))?
-        };
+        let call = self
+            .conductor
+            .resume(tid.0)
+            .ok_or_else(|| SimError::AppThread(String::new()))?;
         if self.tracer.is_on() {
             // Twins are created inside the conductor while the app
             // thread runs its burst; the log is drained here so their
@@ -1765,9 +1529,6 @@ impl<'a> Core<'a> {
         syscall: Syscall,
         now: SimTime,
     ) -> Result<(), SimError> {
-        if self.trace {
-            eprintln!("[{now}] syscall t{} n{n}: {syscall:?}", tid.0);
-        }
         match syscall {
             Syscall::Exit => {
                 let peer = &mut self.threads[tid.0];
@@ -1832,9 +1593,6 @@ impl<'a> Core<'a> {
         }
 
         let (missing, need_base) = self.missing_for(n, page);
-        if self.trace {
-            eprintln!("[{now}] fault n{n} {page}: missing {missing:?} base {need_base}");
-        }
         if missing.is_empty() && !need_base {
             // Everything needed is already local (prefetched).
             let had_pf = self.nodes[n].pf_meta.contains_key(&page);
@@ -2152,20 +1910,6 @@ impl<'a> Core<'a> {
             })
         });
 
-        if self.trace {
-            // Paranoid race detector: concurrent diffs must touch
-            // disjoint bytes, or the multiple-writer merge is unsound.
-            for (x, a) in diffs.iter().enumerate() {
-                for b in &diffs[x + 1..] {
-                    if a.stamp.hb_cmp(&b.stamp).is_none() && a.diff.overlaps(&b.diff) {
-                        eprintln!(
-                            "RACE at n{n} {page}: concurrent diffs overlap: n{} {} vs n{} {}",
-                            a.origin, a.stamp, b.origin, b.stamp
-                        );
-                    }
-                }
-            }
-        }
         let mut mem = self.mem.lock().expect("mem mutex");
         let entry = &mut mem[n].pages[page.index()];
         let mut apply_cost = rsdsm_simnet::SimDuration::ZERO;
@@ -2185,18 +1929,7 @@ impl<'a> Core<'a> {
                 apply_cost += self.cfg.costs.diff_apply(rsdsm_protocol::PAGE_SIZE);
             }
         }
-        let watch = self.watch;
         for cached in &diffs {
-            if let Some((wp, lo, hi)) = watch {
-                if page.index() == wp && cached.diff.covers(lo, hi) {
-                    let skipped = skip.contains(&(cached.origin, cached.stamp.get(cached.origin)))
-                        || node.board.is_applied(page, cached.origin, &cached.stamp);
-                    eprintln!(
-                        "WATCH apply n{n}: diff n{} {} skipped={skipped}",
-                        cached.origin, cached.stamp
-                    );
-                }
-            }
             if skip.contains(&(cached.origin, cached.stamp.get(cached.origin)))
                 || node.board.is_applied(page, cached.origin, &cached.stamp)
             {
@@ -2238,16 +1971,6 @@ impl<'a> Core<'a> {
                 },
             );
             apply_cost += self.cfg.costs.diff_apply(cached.diff.payload_bytes());
-        }
-        if let Some((wp, lo, _hi)) = watch {
-            if page.index() == wp {
-                let val = f64::from_bits(u64::from_le_bytes(
-                    mem[n].pages[page.index()].data.bytes()[lo..lo + 8]
-                        .try_into()
-                        .expect("8 bytes"),
-                ));
-                eprintln!("WATCH value n{n} after apply batch: {val}");
-            }
         }
         drop(mem);
         if !apply_cost.is_zero() {
@@ -2606,7 +2329,6 @@ impl<'a> Core<'a> {
         if dirty.is_empty() {
             return at;
         }
-        let watch = self.watch;
         let node = &mut self.nodes[n];
         node.vc.tick(n);
         let stamp = node.vc.clone();
@@ -2624,14 +2346,6 @@ impl<'a> Core<'a> {
             if self.oracle.cfg.invariants {
                 self.oracle
                     .check_roundtrip(&twin, &entry.data, &diff, n, page, at);
-            }
-            if let Some((wp, lo, hi)) = watch {
-                if page.index() == wp && diff.covers(lo, hi) {
-                    let val = f64::from_bits(u64::from_le_bytes(
-                        entry.data.bytes()[lo..lo + 8].try_into().unwrap(),
-                    ));
-                    eprintln!("WATCH close n{n}: stamp {} seq {seq} val {val}", node.vc);
-                }
             }
             cost += self.cfg.costs.diff_create(diff.payload_bytes());
             self.tracer.emit(
@@ -2656,12 +2370,6 @@ impl<'a> Core<'a> {
             stamp,
             pages: pages_list,
         });
-        if self.trace {
-            eprintln!(
-                "[{at}] close n{n}: stamp {} pages {:?}",
-                rec.stamp, rec.pages
-            );
-        }
         self.nodes[n].known_intervals.learn(&rec);
         self.charge(n, at, cost, Category::DsmOverhead, None)
     }
@@ -2688,19 +2396,7 @@ impl<'a> Core<'a> {
                 origin: rec.origin,
                 stamp: rec.stamp.clone(),
             });
-            if !is_new && self.trace {
-                eprintln!(
-                    "notice DUP at n{n}: {page} from n{} stamp {}",
-                    rec.origin, rec.stamp
-                );
-            }
             if is_new {
-                if self.trace {
-                    eprintln!(
-                        "notice at n{n}: {page} from n{} stamp {}",
-                        rec.origin, rec.stamp
-                    );
-                }
                 if self.tracer.is_on() {
                     let seq = rec.stamp.get(rec.origin);
                     let id = self.tracer.emit(
@@ -3132,8 +2828,8 @@ impl<'a> Core<'a> {
             let (k, seq) = match &pkt.frame {
                 Frame::Heartbeat => (kind::HEARTBEAT, 0),
                 Frame::Ack { seq } => (kind::ACK, *seq),
-                Frame::Datagram { body } => (kind_code(body), 0),
-                Frame::Data { seq, body } => (kind_code(body), *seq),
+                Frame::Datagram { body } => (body.kind_code(), 0),
+                Frame::Data { seq, body } => (body.kind_code(), *seq),
             };
             let id = self.tracer.emit(
                 now,
@@ -3151,9 +2847,6 @@ impl<'a> Core<'a> {
         }
         match pkt.frame {
             Frame::Heartbeat => {
-                if self.trace {
-                    eprintln!("[{now}] hb-arrive n{} -> n{n}", pkt.src);
-                }
                 let idle = self.idle_reason(n);
                 self.charge(
                     n,
@@ -3236,13 +2929,6 @@ impl<'a> Core<'a> {
     /// finished absorbing the frame.
     fn dispatch(&mut self, msg: Msg, end: SimTime) -> Result<(), SimError> {
         let n = msg.dst;
-        if self.trace {
-            eprintln!(
-                "[{end}] dispatch at n{n} from {}: {:?}",
-                msg.src,
-                msg.body.kind()
-            );
-        }
         match msg.body {
             MsgBody::DiffRequest {
                 page,
@@ -3496,17 +3182,6 @@ impl<'a> Core<'a> {
                     Category::DsmOverhead,
                     None,
                 );
-                if let Some((wp, lo, hi)) = self.watch {
-                    if page.index() == wp && diff.covers(lo, hi) {
-                        let mem2 = self.mem.lock().expect("mem mutex");
-                        let val = f64::from_bits(u64::from_le_bytes(
-                            mem2[m].pages[page.index()].data.bytes()[lo..lo + 8]
-                                .try_into()
-                                .expect("8 bytes"),
-                        ));
-                        eprintln!("WATCH splitclose n{m}: stamp {stamp} seq {seq} val {val}");
-                    }
-                }
                 self.tracer.emit(
                     end,
                     m as u32,
@@ -3804,7 +3479,7 @@ impl<'a> Core<'a> {
                 NO_THREAD,
                 NO_CAUSE,
                 TraceEvent::MsgSend {
-                    kind: kind_code(&body),
+                    kind: body.kind_code(),
                     peer: dst as u32,
                     seq: 0,
                     bytes: body.wire_bytes() as u32,
@@ -3868,7 +3543,7 @@ impl<'a> Core<'a> {
             NO_THREAD,
             cause,
             TraceEvent::MsgSend {
-                kind: kind_code(&body),
+                kind: body.kind_code(),
                 peer: dst as u32,
                 seq,
                 bytes: body.wire_bytes() as u32,
@@ -3981,9 +3656,6 @@ impl<'a> Core<'a> {
                 // Recovery on: park the frame and hand the peer to
                 // the failure detector. The frame re-arms when the
                 // peer is cleared or rejoins.
-                if self.trace {
-                    eprintln!("[{now}] park n{src}->n{dst} seq {seq} after {attempts} attempts");
-                }
                 self.recov.parked_frames.push((src, dst, seq));
                 self.recov.stats.frames_parked += 1;
                 self.tracer.emit(
@@ -4000,12 +3672,6 @@ impl<'a> Core<'a> {
                 Ok(())
             }
             TimeoutAction::Retransmit { body, rto } => {
-                if self.trace {
-                    eprintln!(
-                        "[{now}] retransmit n{src}->n{dst} seq {seq}: {:?}",
-                        body.kind()
-                    );
-                }
                 let idle = self.idle_reason(src);
                 let end = self.charge(
                     src,

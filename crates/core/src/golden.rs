@@ -23,20 +23,17 @@
 //! realizable under the same program order.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread;
 
 use rsdsm_protocol::Page;
 
-use crate::conductor::{CallMsg, DsmCtx, Syscall};
-use crate::config::{DsmConfig, PrefetchConfig};
+use crate::conductor::{conduct, Conductor, Syscall};
+use crate::config::{DsmConfig, PrefetchConfig, ThreadConfig};
 use crate::heap::Heap;
 use crate::msg::{BarrierId, LockId};
 use crate::node::NodeMem;
 use crate::oracle::{digest_pages, GrantRecord};
 use crate::program::{DsmProgram, VerifyCtx};
-use crate::thread::ThreadId;
 
 /// The golden sequential executor's result.
 #[derive(Debug, Clone)]
@@ -71,11 +68,6 @@ struct GLock {
     waiters: Vec<usize>,
 }
 
-struct GPeer {
-    resume_tx: Sender<()>,
-    call_rx: Receiver<CallMsg>,
-}
-
 /// Runs `app` single-threaded (in the memory sense) to the reference
 /// final image, replaying `lock_trace` for per-lock grant order.
 ///
@@ -103,25 +95,6 @@ pub fn golden_run<P: DsmProgram>(
     // twins needed for correctness (writes land directly), no DSM.
     let mem: Arc<Mutex<Vec<NodeMem>>> =
         Arc::new(Mutex::new(vec![NodeMem::new(total_pages, |_| true)]));
-    let panic_note: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-
-    let mut peers = Vec::with_capacity(total_threads);
-    let mut ctxs = Vec::with_capacity(total_threads);
-    for t in 0..total_threads {
-        let (resume_tx, resume_rx) = mpsc::channel();
-        let (call_tx, call_rx) = mpsc::channel();
-        peers.push(GPeer { resume_tx, call_rx });
-        ctxs.push(DsmCtx::new(
-            ThreadId(t),
-            0,
-            total_threads,
-            Arc::clone(&mem),
-            cfg.costs.clone(),
-            PrefetchConfig::off(),
-            resume_rx,
-            call_tx,
-        ));
-    }
 
     // Per-lock replay queues from the captured grant order.
     let mut replay: HashMap<LockId, VecDeque<usize>> = HashMap::new();
@@ -132,34 +105,21 @@ pub fn golden_run<P: DsmProgram>(
             .push_back(rec.thread.index());
     }
 
-    let sched_result = thread::scope(|s| {
-        for mut ctx in ctxs {
-            let note = Arc::clone(&panic_note);
-            let h = handles.clone();
-            s.spawn(move || {
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    ctx.wait_start();
-                    app.run(&mut ctx, &h);
-                    ctx.exit();
-                }));
-                if let Err(payload) = res {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "<non-string panic>".to_string());
-                    let mut slot = note.lock().expect("panic note mutex");
-                    slot.get_or_insert(msg);
-                }
-            });
-        }
-        // `peers` is consumed here so the resume channels close when
-        // the schedule ends: on error any still-blocked threads
-        // unblock, panic inside catch_unwind, and the join completes.
-        run_schedule(peers, total_threads, &mut replay)
+    // The golden machine is one node running every thread, with
+    // prefetching off.
+    let flat = DsmConfig {
+        nodes: 1,
+        threads: ThreadConfig {
+            threads_per_node: total_threads,
+            ..cfg.threads
+        },
+        prefetch: PrefetchConfig::off(),
+        ..cfg.clone()
+    };
+    let (sched_result, panic_note) = conduct(app, &handles, &mem, &flat, |conductor| {
+        run_schedule(conductor, total_threads, &mut replay)
     });
-
-    if let Some(msg) = panic_note.lock().expect("panic note mutex").take() {
+    if let Some(msg) = panic_note {
         return Err(format!("golden thread panicked: {msg}"));
     }
     sched_result?;
@@ -179,7 +139,7 @@ pub fn golden_run<P: DsmProgram>(
 /// The cooperative scheduler: resume the lowest-indexed ready thread,
 /// absorb its next syscall, repeat until every thread exits.
 fn run_schedule(
-    peers: Vec<GPeer>,
+    conductor: Conductor,
     total_threads: usize,
     replay: &mut HashMap<LockId, VecDeque<usize>>,
 ) -> Result<(), String> {
@@ -195,14 +155,9 @@ fn run_schedule(
                  (lock-trace replay mismatch?): states {states:?}"
             ));
         };
-        peers[t]
-            .resume_tx
-            .send(())
-            .map_err(|_| format!("golden thread {t} died before resume"))?;
-        let call = peers[t]
-            .call_rx
-            .recv()
-            .map_err(|_| format!("golden thread {t} died mid-run"))?;
+        let call = conductor
+            .resume(t)
+            .ok_or_else(|| format!("golden thread {t} died mid-run"))?;
         match call.syscall {
             Syscall::Exit => {
                 states[t] = GState::Done;

@@ -88,7 +88,7 @@ pub use report::{
 pub use rsdsm_protocol::{Page, PAGE_SIZE};
 pub use rsdsm_simnet::{
     ClassProbs, DegradedWindow, FaultPlan, FaultStats, NodeCrash, NodeStall, Partition,
-    PersistConfig, PersistDevice, PersistStats, QueueBackend, Topology,
+    PersistConfig, PersistDevice, PersistStats, Topology,
 };
 pub use thread::ThreadId;
 pub use trace::{

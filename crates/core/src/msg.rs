@@ -10,6 +10,8 @@ use std::sync::Arc;
 use rsdsm_protocol::{Diff, Page, PageId, VectorClock, NOTICE_WIRE_BYTES, PAGE_SIZE};
 use rsdsm_simnet::NodeId;
 
+use crate::trace::{kind, kind_label};
+
 /// Identifies an application-level lock. The lock's manager node is
 /// `id % nodes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -251,20 +253,25 @@ impl MsgBody {
 
     /// Statistics label for the network layer.
     pub fn kind(&self) -> &'static str {
+        kind_label(self.kind_code())
+    }
+
+    /// Trace message-class code (see [`crate::trace::kind`]).
+    pub fn kind_code(&self) -> u8 {
         match self {
-            MsgBody::DiffRequest { adaptive: true, .. } => "adaptive_request",
-            MsgBody::DiffRequest { prefetch: true, .. } => "prefetch_request",
-            MsgBody::DiffRequest { .. } => "diff_request",
-            MsgBody::DiffReply { adaptive: true, .. } => "adaptive_reply",
-            MsgBody::DiffReply { prefetch: true, .. } => "prefetch_reply",
-            MsgBody::DiffReply { .. } => "diff_reply",
-            MsgBody::LockRequest { .. } => "lock_request",
-            MsgBody::LockForward { .. } => "lock_forward",
-            MsgBody::LockGrant { .. } => "lock_grant",
-            MsgBody::BarrierArrive { .. } => "barrier_arrive",
-            MsgBody::BarrierRelease { .. } => "barrier_release",
-            MsgBody::SuspectReport { .. } => "suspect_report",
-            MsgBody::RecoveryStart { .. } => "recovery_start",
+            MsgBody::DiffRequest { adaptive: true, .. } => kind::ADAPTIVE_REQUEST,
+            MsgBody::DiffRequest { prefetch: true, .. } => kind::PREFETCH_REQUEST,
+            MsgBody::DiffRequest { .. } => kind::DIFF_REQUEST,
+            MsgBody::DiffReply { adaptive: true, .. } => kind::ADAPTIVE_REPLY,
+            MsgBody::DiffReply { prefetch: true, .. } => kind::PREFETCH_REPLY,
+            MsgBody::DiffReply { .. } => kind::DIFF_REPLY,
+            MsgBody::LockRequest { .. } => kind::LOCK_REQUEST,
+            MsgBody::LockForward { .. } => kind::LOCK_FORWARD,
+            MsgBody::LockGrant { .. } => kind::LOCK_GRANT,
+            MsgBody::BarrierArrive { .. } => kind::BARRIER_ARRIVE,
+            MsgBody::BarrierRelease { .. } => kind::BARRIER_RELEASE,
+            MsgBody::SuspectReport { .. } => kind::SUSPECT_REPORT,
+            MsgBody::RecoveryStart { .. } => kind::RECOVERY_START,
         }
     }
 

@@ -68,8 +68,6 @@ pub struct AccessCounters {
     /// Wasted checks emulating compiler-issued prefetches on private
     /// data (FFT / LU-NCONT in Table 1).
     pub pf_private_checks: u64,
-    /// Shared-memory accesses that took the fast path.
-    pub fast_accesses: u64,
 }
 
 /// The application-visible memory of one node.

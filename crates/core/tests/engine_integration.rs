@@ -1,8 +1,8 @@
 //! Integration tests driving the full DSM engine with small programs.
 
 use rsdsm_core::{
-    BarrierId, Category, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy, LockId, PrefetchConfig,
-    SharedVec, SimError, Simulation, ThreadConfig, VerifyCtx,
+    golden_run, BarrierId, Category, DsmConfig, DsmCtx, DsmProgram, Heap, HomePolicy, LockId,
+    PrefetchConfig, SharedVec, SimError, Simulation, ThreadConfig, VerifyCtx,
 };
 use rsdsm_simnet::SimDuration;
 
@@ -330,6 +330,8 @@ fn missing_barrier_arrival_is_a_deadlock() {
     assert!(matches!(err, SimError::Deadlock(_)), "got {err:?}");
 }
 
+/// Both drivers of the shared thread conductor — the engine and the
+/// golden scheduler — surface an application panic as an error.
 #[test]
 fn app_panic_is_reported() {
     let err = Simulation::new(base_config(2)).run(&Panicky).unwrap_err();
@@ -337,6 +339,11 @@ fn app_panic_is_reported() {
         SimError::AppThread(msg) => assert!(msg.contains("deliberate"), "msg: {msg}"),
         other => panic!("expected AppThread, got {other:?}"),
     }
+    let err = golden_run(&Panicky, &base_config(2), &[]).unwrap_err();
+    assert!(
+        err.contains("golden thread panicked") && err.contains("deliberate"),
+        "golden error: {err}"
+    );
 }
 
 #[test]

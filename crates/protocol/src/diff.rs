@@ -284,15 +284,6 @@ impl Diff {
         }
     }
 
-    /// True if the diff modifies any byte in `lo..hi` (diagnostics).
-    pub fn covers(&self, lo: usize, hi: usize) -> bool {
-        self.runs.iter().any(|r| {
-            let s = r.offset as usize;
-            let e = s + r.len as usize;
-            s < hi && lo < e
-        })
-    }
-
     /// True if this diff's modified byte ranges overlap `other`'s.
     ///
     /// Overlapping concurrent diffs indicate a data race in the

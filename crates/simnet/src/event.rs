@@ -38,31 +38,6 @@ use std::num::NonZeroU64;
 
 use crate::time::SimTime;
 
-/// Which [`EventQueue`]-contract implementation an engine should use.
-///
-/// The wheel is the default; the heap is the differential reference
-/// and the escape hatch (`RSDSM_QUEUE=heap` in the engine). Both are
-/// pop-for-pop identical by construction and by test, so this choice
-/// can never affect simulation results — only wall-clock throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// Hierarchical timing wheel ([`EventQueue`]).
-    #[default]
-    Wheel,
-    /// Binary-heap reference ([`HeapQueue`]).
-    Heap,
-}
-
-impl QueueBackend {
-    /// Short label for bench/CI output.
-    pub fn label(self) -> &'static str {
-        match self {
-            QueueBackend::Wheel => "wheel",
-            QueueBackend::Heap => "heap",
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Timing wheel
 // ---------------------------------------------------------------------
@@ -620,8 +595,7 @@ impl<T> Ord for Scheduled<T> {
 }
 
 /// The original `BinaryHeap`-backed queue, kept as the differential
-/// reference for [`EventQueue`] (see `tests/wheel_equivalence.rs`)
-/// and as the `RSDSM_QUEUE=heap` engine escape hatch.
+/// reference for [`EventQueue`] (see `tests/wheel_equivalence.rs`).
 ///
 /// Same contract as [`EventQueue`]: earliest time first, equal times
 /// pop in insertion order.

@@ -11,7 +11,7 @@
 //! - [`EventQueue`]: time-ordered, FIFO-tie-broken event queue — a
 //!   hierarchical timing wheel with a calendar overflow, plus the
 //!   [`HeapQueue`] binary-heap reference it is differentially tested
-//!   against (select with [`QueueBackend`]).
+//!   against.
 //! - [`Network`]: the single-switch ATM LAN model with per-link
 //!   bandwidth, queueing (contention and hot-spotting), and
 //!   congestion-based drops of unreliable (prefetch) messages.
@@ -57,7 +57,7 @@ mod rng;
 mod time;
 mod topology;
 
-pub use event::{EventQueue, HeapQueue, QueueBackend, WHEEL_HORIZON_NS, WHEEL_TIER_BOUNDARIES_NS};
+pub use event::{EventQueue, HeapQueue, WHEEL_HORIZON_NS, WHEEL_TIER_BOUNDARIES_NS};
 pub use faults::{
     ClassProbs, DegradedWindow, Delivery, FaultClass, FaultPlan, FaultStats, NodeCrash, NodeStall,
     Partition,

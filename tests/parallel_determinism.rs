@@ -13,8 +13,8 @@
 
 use rsdsm::apps::{Benchmark, Scale};
 use rsdsm::core::{
-    AdaptiveConfig, DsmConfig, FaultPlan, NodeCrash, Partition, PrefetchConfig, QueueBackend,
-    RecoveryConfig, TransportConfig,
+    AdaptiveConfig, DsmConfig, FaultPlan, NodeCrash, Partition, PrefetchConfig, RecoveryConfig,
+    TransportConfig,
 };
 use rsdsm::oracle::Technique;
 use rsdsm::simnet::{SimDuration, SimTime};
@@ -161,30 +161,6 @@ fn oversubscribed_pool_changes_nothing() {
     assert_eq!(reference, oversubscribed);
 }
 
-/// Like [`digests_at`], but pinning the event-queue backend instead of
-/// the worker count (workers fixed at 4).
-fn digests_on(backend: QueueBackend) -> Vec<(String, u64, u64, usize)> {
-    let tasks: Vec<_> = grid()
-        .into_iter()
-        .map(|cell| {
-            move || {
-                let (report, trace) = cell
-                    .bench
-                    .run_traced_queued(Scale::Test, cell.cfg, backend)
-                    .unwrap_or_else(|e| panic!("{} [{}]: {e}", cell.label, backend.label()));
-                assert!(report.verified, "{}: result corrupted", cell.label);
-                (
-                    cell.label,
-                    report.digest(),
-                    trace.digest(),
-                    trace.encode().len(),
-                )
-            }
-        })
-        .collect();
-    pool::run(4, tasks)
-}
-
 /// Observer-freedom of the adaptive machinery, pinned at the byte
 /// level: a run whose `AdaptiveConfig` is disabled must produce a
 /// report that is textually identical — and therefore
@@ -228,23 +204,59 @@ fn disabled_adaptive_is_byte_transparent() {
     assert_ne!(on.digest(), plain.digest());
 }
 
-/// The timing-wheel queue and the binary-heap reference produce
-/// byte-identical results over the whole grid — report digests, RTR1
-/// trace digests, and encoded trace lengths all match, including the
-/// lossy, crash-restart, and partition+heal cells whose event
-/// schedules are the most irregular. This is the end-to-end
-/// counterpart of the queue-level differential suite
-/// (`crates/simnet/tests/wheel_equivalence.rs`): the engine cannot
-/// tell the two backends apart.
+/// The grid's results on the binary-heap reference queue
+/// (`rsdsm::simnet::HeapQueue`), one row per cell in [`grid`] order:
+/// (label, report digest, RTR1 trace digest, encoded RTR1 length).
+/// Recorded when the engine could still run on either queue, from a
+/// run in which the heap and the timing wheel agreed on every row.
+const HEAP_BACKEND_DIGESTS: [(&str, u64, u64, usize); 13] = [
+    ("RADIX [O]", 0xa134c9e82745e44e, 0x249303d259b67b8e, 31063),
+    ("RADIX [P]", 0xbc52e0e38819fd86, 0x51ef5dc9d33ba5ac, 29163),
+    ("RADIX [2T]", 0xbb57287084657144, 0x57962b9bc60d69bd, 40634),
+    ("RADIX [2TP]", 0x2417adf2070223d1, 0xf60b890b78c171e5, 41999),
+    ("FFT [O]", 0x4a28b94816e279cd, 0xf84e0fffd2fce0ae, 25207),
+    ("FFT [P]", 0xb05d426f6f62c010, 0xc6cd8ed51cf5c48b, 24992),
+    ("FFT [2T]", 0xf2f2fe68cf737971, 0xfac0a249a4805766, 32016),
+    ("FFT [2TP]", 0xedb25a9b6eac47e1, 0x96ad0d44bd8ffa81, 28280),
+    (
+        "FFT [O, 5% loss]",
+        0x18cda58f2137fd1d,
+        0xb5942c19544b9c0d,
+        27080,
+    ),
+    (
+        "RADIX [O, crash-restart]",
+        0xc772c8c3b1fbad40,
+        0xe673a2637aa7e32a,
+        135803,
+    ),
+    (
+        "RADIX [O, partition-heal]",
+        0xa3b5c84f62fd547e,
+        0x4895d8d73d72bf48,
+        131084,
+    ),
+    ("FFT [A]", 0x99afeb882339428c, 0xfc11f5359826d876, 25273),
+    ("RADIX [A+P]", 0x51256f6f2e2efbc7, 0xf2da703798db25de, 29163),
+];
+
+/// The engine's timing-wheel queue reproduces the binary-heap
+/// reference's results over the whole grid — report digests, RTR1
+/// trace digests, and encoded trace lengths — including the lossy,
+/// crash-restart, and partition+heal cells whose event schedules are
+/// the most irregular. This is the end-to-end counterpart of the
+/// queue-level differential suite
+/// (`crates/simnet/tests/wheel_equivalence.rs`), which pins the two
+/// queues pop for pop.
 #[test]
 fn wheel_and_heap_backends_are_digest_identical() {
-    let wheel = digests_on(QueueBackend::Wheel);
-    let heap = digests_on(QueueBackend::Heap);
-    assert_eq!(wheel.len(), heap.len());
-    for (w, h) in wheel.iter().zip(&heap) {
+    let wheel = digests_at(4);
+    assert_eq!(wheel.len(), HEAP_BACKEND_DIGESTS.len());
+    for (w, &(label, report, trace, len)) in wheel.iter().zip(&HEAP_BACKEND_DIGESTS) {
         assert_eq!(
-            w, h,
-            "cell diverged between wheel and heap backends \
+            (w.0.as_str(), w.1, w.2, w.3),
+            (label, report, trace, len),
+            "cell diverged from the heap-backend reference \
              (label, report digest, trace digest, RTR1 len)"
         );
     }
