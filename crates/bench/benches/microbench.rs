@@ -232,14 +232,10 @@ fn bench_notice_board(c: &mut Criterion) {
         b.iter(|| {
             let mut board = NoticeBoard::new();
             for origin in 0..8usize {
-                let mut stamp = VectorClock::new(8);
-                for _ in 0..origin + 1 {
-                    stamp.tick(origin);
-                }
                 board.record(WriteNotice {
                     page: PageId::new(3),
                     origin,
-                    stamp,
+                    seq: origin as u32 + 1,
                 });
             }
             black_box(board.pending_by_origin(PageId::new(3)))

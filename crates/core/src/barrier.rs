@@ -9,9 +9,10 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use rsdsm_protocol::IntervalRecord;
 use rsdsm_simnet::NodeId;
 
-use crate::msg::{BarrierId, IntervalRecord};
+use crate::msg::BarrierId;
 use crate::thread::ThreadId;
 
 /// Per-node barrier state: counts local arrivals so only the last

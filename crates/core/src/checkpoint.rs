@@ -60,9 +60,9 @@
 //! assert_eq!(back.digest(), ckpt.digest());
 //! ```
 
-use rsdsm_protocol::{Diff, Page, PageId, VectorClock, PAGE_SIZE};
+use rsdsm_protocol::{Diff, IntervalRecord, Page, PageId, VectorClock, PAGE_SIZE};
 
-use crate::msg::{IntervalRecord, LockId};
+use crate::msg::LockId;
 use crate::node::{NodeMem, NodeState};
 use crate::oracle::fnv1a;
 

@@ -11,7 +11,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use rsdsm_protocol::{CachedDiff, Diff, Page, PageId, VectorClock, WriteNotice};
+use rsdsm_protocol::{Diff, DiffPayload, IntervalRecord, Page, PageId, VectorClock, WriteNotice};
 use rsdsm_simnet::{
     EventQueue, Network, NodeId, PersistDevice, Reliability, SimDuration, SimTime, Topology,
 };
@@ -26,7 +26,7 @@ use crate::conductor::{conduct, Charges, Conductor, Syscall};
 use crate::config::{DirectoryPolicy, DsmConfig};
 use crate::heap::Heap;
 use crate::lock::{AcquireOutcome, ForwardOutcome, GrantOutcome, ReleaseOutcome, RemoteWaiter};
-use crate::msg::{BarrierId, BasePayload, DiffPayload, IntervalRecord, LockId, Msg, MsgBody};
+use crate::msg::{BarrierId, BasePayload, LockId, Msg, MsgBody};
 use crate::node::{AdaptiveNode, Fetch, MissClass, NodeMem, NodeState, SyncKey};
 use crate::oracle::{digest_pages, OracleOutcome, OracleState};
 use crate::prefetch::{AdaptiveStats, TrendChange};
@@ -1626,10 +1626,9 @@ impl<'a> Core<'a> {
         let class = match self.nodes[n].pf_meta.get(&page) {
             None => MissClass::NoPf,
             Some(meta) => {
-                let all_requested = missing.iter().all(|(origin, stamps)| {
-                    stamps
-                        .iter()
-                        .all(|s| meta.requested.contains(&(*origin, s.get(*origin))))
+                let all_requested = missing.iter().all(|(origin, seqs)| {
+                    seqs.iter()
+                        .all(|&seq| meta.requested.contains(&(*origin, seq)))
                 }) && (!need_base || meta.wanted_base);
                 if all_requested {
                     MissClass::TooLate
@@ -1746,27 +1745,16 @@ impl<'a> Core<'a> {
         self.nodes[n].counters.dir_migrations += 1;
     }
 
-    /// The (origin → stamps) diffs node `n` still needs for `page`
+    /// The (origin → seqs) diffs node `n` still needs for `page`
     /// (pending notices minus the prefetch cache), plus whether a
     /// base copy is needed.
-    fn missing_for(&self, n: NodeId, page: PageId) -> (Vec<(NodeId, Vec<VectorClock>)>, bool) {
+    fn missing_for(&self, n: NodeId, page: PageId) -> (Vec<(NodeId, Vec<u32>)>, bool) {
         let node = &self.nodes[n];
-        let missing: Vec<(NodeId, Vec<VectorClock>)> = node
-            .board
-            .pending_by_origin(page)
-            .into_iter()
-            .filter_map(|(origin, stamps)| {
-                let remaining: Vec<VectorClock> = stamps
-                    .into_iter()
-                    .filter(|s| !node.cache.has_diff(page, origin, s))
-                    .collect();
-                if remaining.is_empty() {
-                    None
-                } else {
-                    Some((origin, remaining))
-                }
-            })
-            .collect();
+        let mut missing = node.board.pending_by_origin(page);
+        for (origin, seqs) in &mut missing {
+            seqs.retain(|&seq| !node.cache.has_diff(page, *origin, seq));
+        }
+        missing.retain(|(_, seqs)| !seqs.is_empty());
         let mem = self.mem.lock().expect("mem mutex");
         let need_base =
             !mem[n].pages[page.index()].ever_valid && !node.base_cache.contains_key(&page);
@@ -1775,7 +1763,7 @@ impl<'a> Core<'a> {
 
     fn count_requests(
         &self,
-        missing: &[(NodeId, Vec<VectorClock>)],
+        missing: &[(NodeId, Vec<u32>)],
         need_base: bool,
         page: PageId,
     ) -> usize {
@@ -1792,7 +1780,7 @@ impl<'a> Core<'a> {
         &mut self,
         n: NodeId,
         page: PageId,
-        missing: &[(NodeId, Vec<VectorClock>)],
+        missing: &[(NodeId, Vec<u32>)],
         need_base: bool,
         mut end: SimTime,
         prefetch: bool,
@@ -1812,11 +1800,11 @@ impl<'a> Core<'a> {
         } else {
             Category::DsmOverhead
         };
-        for (origin, stamps) in missing {
+        for (origin, seqs) in missing {
             end = self.charge(n, end, send_cost, send_cat, None);
             let body = MsgBody::DiffRequest {
                 page,
-                stamps: stamps.clone(),
+                seqs: seqs.clone(),
                 want_base: need_base && *origin == home,
                 prefetch,
                 adaptive,
@@ -1847,7 +1835,7 @@ impl<'a> Core<'a> {
             end = self.charge(n, end, send_cost, send_cat, None);
             let body = MsgBody::DiffRequest {
                 page,
-                stamps: Vec::new(),
+                seqs: Vec::new(),
                 want_base: true,
                 prefetch,
                 adaptive,
@@ -1889,26 +1877,11 @@ impl<'a> Core<'a> {
     ) -> SimTime {
         let node = &mut self.nodes[n];
         let base = base.or_else(|| node.base_cache.remove(&page));
-        let mut diffs: Vec<CachedDiff> = node
-            .cache
-            .take(page)
-            .into_iter()
-            .chain(extra.into_iter().map(|p| CachedDiff {
-                origin: p.origin,
-                stamp: p.stamp,
-                diff: p.diff,
-            }))
-            .collect();
+        let mut diffs = node.cache.take(page);
+        diffs.extend(extra);
         // Order consistently with happens-before-1 (concurrent diffs
         // are disjoint, so any topological order is correct).
-        diffs.sort_by(|a, b| {
-            let sum = |vc: &VectorClock| -> u64 { (0..vc.len()).map(|i| vc.get(i) as u64).sum() };
-            sum(&a.stamp).cmp(&sum(&b.stamp)).then_with(|| {
-                (0..a.stamp.len())
-                    .map(|i| a.stamp.get(i))
-                    .cmp((0..b.stamp.len()).map(|i| b.stamp.get(i)))
-            })
-        });
+        diffs.sort_by(|a, b| a.rec.stamp.topo_cmp(&b.rec.stamp));
 
         let mut mem = self.mem.lock().expect("mem mutex");
         let entry = &mut mem[n].pages[page.index()];
@@ -1916,35 +1889,30 @@ impl<'a> Core<'a> {
         // Diffs already incorporated in an applied base copy must NOT
         // be re-applied: the base may also contain *newer* intervals
         // (the home can be ahead of this node), and replaying an older
-        // diff over it would roll those bytes back.
-        let mut skip: std::collections::HashSet<(NodeId, u32)> = std::collections::HashSet::new();
+        // diff over it would roll those bytes back. Marking them
+        // applied makes the loop below skip them.
         if let Some(b) = base {
             if !entry.ever_valid {
                 entry.data.copy_from(&b.page);
                 entry.ever_valid = true;
-                for (origin, stamp) in &b.incorporated {
-                    node.board.mark_applied(page, *origin, stamp);
-                    skip.insert((*origin, stamp.get(*origin)));
+                for &(origin, seq) in &b.incorporated {
+                    node.board.mark_applied(page, origin, seq);
                 }
                 apply_cost += self.cfg.costs.diff_apply(rsdsm_protocol::PAGE_SIZE);
             }
         }
         for cached in &diffs {
-            if skip.contains(&(cached.origin, cached.stamp.get(cached.origin)))
-                || node.board.is_applied(page, cached.origin, &cached.stamp)
-            {
+            let (origin, seq) = (cached.origin(), cached.seq());
+            if node.board.is_applied(page, origin, seq) {
                 // Already incorporated (via the base or an earlier
                 // fetch); re-applying a byte-sparse diff over newer
                 // data would roll those bytes back.
-                node.board.mark_applied(page, cached.origin, &cached.stamp);
                 continue;
             }
             if self.oracle.cfg.invariants {
-                let covered = node
-                    .known_intervals
-                    .contains(cached.origin, cached.stamp.get(cached.origin));
+                let covered = node.known_intervals.get(origin, seq).is_some();
                 self.oracle
-                    .check_coverage(covered, n, page, cached.origin, &cached.stamp, end);
+                    .check_coverage(covered, n, page, &cached.rec, end);
             }
             cached.diff.apply(&mut entry.data);
             // Keep the twin consistent so our own diff stays minimal
@@ -1954,11 +1922,10 @@ impl<'a> Core<'a> {
             if let Some(twin) = &mut entry.twin {
                 cached.diff.apply(Arc::make_mut(twin));
             }
-            node.board.mark_applied(page, cached.origin, &cached.stamp);
-            let seq = cached.stamp.get(cached.origin);
-            let cause =
-                self.tracer
-                    .notice_id(n as u32, page.index() as u32, cached.origin as u32, seq);
+            node.board.mark_applied(page, origin, seq);
+            let cause = self
+                .tracer
+                .notice_id(n as u32, page.index() as u32, origin as u32, seq);
             self.tracer.emit(
                 end,
                 n as u32,
@@ -1966,7 +1933,7 @@ impl<'a> Core<'a> {
                 cause,
                 TraceEvent::DiffApply {
                     page: page.index() as u32,
-                    origin: cached.origin as u32,
+                    origin: origin as u32,
                     seq,
                 },
             );
@@ -2042,10 +2009,9 @@ impl<'a> Core<'a> {
                 } else {
                     meta.all_adaptive && adaptive
                 };
-                for (origin, stamps) in &missing {
-                    for s in stamps {
-                        meta.requested.insert((*origin, s.get(*origin)));
-                    }
+                for (origin, seqs) in &missing {
+                    meta.requested
+                        .extend(seqs.iter().map(|&seq| (*origin, seq)));
                 }
                 if need_base {
                     meta.wanted_base = true;
@@ -2330,9 +2296,8 @@ impl<'a> Core<'a> {
             return at;
         }
         let node = &mut self.nodes[n];
-        node.vc.tick(n);
+        let seq = node.vc.tick(n);
         let stamp = node.vc.clone();
-        let seq = stamp.get(n);
         let mut cost = rsdsm_simnet::SimDuration::ZERO;
         let mut seen = std::collections::HashSet::new();
         let mut pages_list = Vec::new();
@@ -2381,6 +2346,7 @@ impl<'a> Core<'a> {
         if rec.origin == n {
             return;
         }
+        let seq = rec.seq();
         for &page in &rec.pages {
             // Directory sharding: interval *knowledge* (the vector
             // clocks above) is always full, but per-page write
@@ -2394,11 +2360,10 @@ impl<'a> Core<'a> {
             let is_new = self.nodes[n].board.record(WriteNotice {
                 page,
                 origin: rec.origin,
-                stamp: rec.stamp.clone(),
+                seq,
             });
             if is_new {
                 if self.tracer.is_on() {
-                    let seq = rec.stamp.get(rec.origin);
                     let id = self.tracer.emit(
                         at,
                         n as u32,
@@ -2932,7 +2897,7 @@ impl<'a> Core<'a> {
         match msg.body {
             MsgBody::DiffRequest {
                 page,
-                stamps,
+                seqs,
                 want_base,
                 prefetch,
                 adaptive,
@@ -2940,7 +2905,7 @@ impl<'a> Core<'a> {
                 vc,
             } => {
                 self.serve_diff_request(
-                    n, msg.src, page, &stamps, want_base, prefetch, adaptive, droppable, &vc, end,
+                    n, msg.src, page, &seqs, want_base, prefetch, adaptive, droppable, &vc, end,
                 );
                 Ok(())
             }
@@ -3132,7 +3097,7 @@ impl<'a> Core<'a> {
         m: NodeId,
         requester: NodeId,
         page: PageId,
-        stamps: &[VectorClock],
+        seqs: &[u32],
         want_base: bool,
         prefetch: bool,
         adaptive: bool,
@@ -3161,9 +3126,8 @@ impl<'a> Core<'a> {
             };
             if split {
                 let node = &mut self.nodes[m];
-                node.vc.tick(m);
+                let seq = node.vc.tick(m);
                 let stamp = node.vc.clone();
-                let seq = stamp.get(m);
                 let mut mem = self.mem.lock().expect("mem mutex");
                 let entry = &mut mem[m].pages[page.index()];
                 let twin = entry.twin.take().expect("twin present");
@@ -3198,32 +3162,27 @@ impl<'a> Core<'a> {
                 node.own_diff_bytes += diff.encoded_bytes();
                 node.own_diffs
                     .insert((page.index(), seq), Arc::clone(&diff));
-                self.nodes[m]
-                    .known_intervals
-                    .learn(&Arc::new(IntervalRecord {
-                        origin: m,
-                        stamp: stamp.clone(),
-                        pages: vec![page],
-                    }));
-                reply_diffs.push(DiffPayload {
+                let rec = Arc::new(IntervalRecord {
                     origin: m,
                     stamp,
-                    diff,
+                    pages: vec![page],
                 });
+                node.known_intervals.learn(&rec);
+                reply_diffs.push(DiffPayload { rec, diff });
             }
         }
 
-        for stamp in stamps {
-            let seq = stamp.get(m);
-            let diff = self.nodes[m]
-                .own_diffs
-                .get(&(page.index(), seq))
-                .unwrap_or_else(|| panic!("requested diff ({page}, seq {seq}) missing at node {m}"))
-                .clone();
+        let node = &self.nodes[m];
+        for &seq in seqs {
+            let (Some(diff), Some(rec)) = (
+                node.own_diffs.get(&(page.index(), seq)),
+                node.known_intervals.get(m, seq),
+            ) else {
+                panic!("requested diff ({page}, seq {seq}) missing at node {m}");
+            };
             reply_diffs.push(DiffPayload {
-                origin: m,
-                stamp: stamp.clone(),
-                diff,
+                rec: Arc::clone(rec),
+                diff: Arc::clone(diff),
             });
         }
 
@@ -3250,7 +3209,7 @@ impl<'a> Core<'a> {
                 node.known_intervals
                     .of_origin_touching(m, page)
                     .iter()
-                    .map(|rec| (m, rec.stamp.clone())),
+                    .map(|rec| (m, rec.seq())),
             );
             Some(BasePayload {
                 page: data,
@@ -3320,22 +3279,8 @@ impl<'a> Core<'a> {
     ) -> Result<(), SimError> {
         if prefetch {
             // Store in the prefetch heap; consumed at access time.
-            // Diffs that a faster fault path already applied are
-            // dropped — replaying them later would corrupt the page.
             let node = &mut self.nodes[n];
-            for d in diffs {
-                if node.board.is_applied(page, d.origin, &d.stamp) {
-                    continue;
-                }
-                node.cache.insert(
-                    page,
-                    CachedDiff {
-                        origin: d.origin,
-                        stamp: d.stamp,
-                        diff: d.diff,
-                    },
-                );
-            }
+            node.cache_unapplied(page, diffs);
             if let Some(b) = base {
                 node.base_cache.insert(page, b);
             }
@@ -3364,20 +3309,8 @@ impl<'a> Core<'a> {
 
         let Some(fetch) = self.nodes[n].fetches.get_mut(&page) else {
             // A straggler reply for a fetch that already completed
-            // (e.g. a duplicate path); keep only still-unapplied diffs.
-            for d in diffs {
-                if self.nodes[n].board.is_applied(page, d.origin, &d.stamp) {
-                    continue;
-                }
-                self.nodes[n].cache.insert(
-                    page,
-                    CachedDiff {
-                        origin: d.origin,
-                        stamp: d.stamp,
-                        diff: d.diff,
-                    },
-                );
-            }
+            // (e.g. a duplicate path).
+            self.nodes[n].cache_unapplied(page, diffs);
             return Ok(());
         };
         fetch.collected.extend(diffs);
@@ -3709,12 +3642,8 @@ fn materialize(heap: &Heap, nodes: &[NodeState], mem: &[NodeMem]) -> Vec<Page> {
         let home = heap.home(page);
         let mut data = mem[home].pages[p].data.clone();
 
-        let applied: std::collections::HashSet<(usize, u32)> = nodes[home]
-            .board
-            .applied_for(page)
-            .into_iter()
-            .map(|(o, s)| (o, s.get(o)))
-            .collect();
+        let applied: std::collections::HashSet<(usize, u32)> =
+            nodes[home].board.applied_for(page).into_iter().collect();
 
         // Closed intervals not yet incorporated at the home.
         let mut pendings: Vec<(Arc<IntervalRecord>, &Diff)> = Vec::new();
@@ -3732,15 +3661,7 @@ fn materialize(heap: &Heap, nodes: &[NodeState], mem: &[NodeMem]) -> Vec<Page> {
                 }
             }
         }
-        pendings.sort_by(|(a, _), (b, _)| {
-            let (a, b) = (&a.stamp, &b.stamp);
-            let sum = |vc: &VectorClock| -> u64 { (0..vc.len()).map(|i| vc.get(i) as u64).sum() };
-            sum(a).cmp(&sum(b)).then_with(|| {
-                (0..a.len())
-                    .map(|i| a.get(i))
-                    .cmp((0..b.len()).map(|i| b.get(i)))
-            })
-        });
+        pendings.sort_by(|(a, _), (b, _)| a.stamp.topo_cmp(&b.stamp));
         for (_, diff) in pendings {
             diff.apply(&mut data);
         }
@@ -3827,11 +3748,11 @@ mod tests {
         nodes[1].own_diffs.insert((0, 1), Arc::new(diff));
         nodes[1].known_intervals.learn(&Arc::new(IntervalRecord {
             origin: 1,
-            stamp: stamp.clone(),
+            stamp,
             pages: vec![PageId::new(0)],
         }));
         // Mark it applied at the home.
-        nodes[0].board.mark_applied(PageId::new(0), 1, &stamp);
+        nodes[0].board.mark_applied(PageId::new(0), 1, 1);
 
         let pages = materialize(&heap, &nodes, &mem);
         assert_eq!(pages[0].read_u64(8), 99, "incorporated diff not re-applied");

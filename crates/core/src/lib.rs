@@ -70,7 +70,7 @@ pub use costs::CostModel;
 pub use engine::Simulation;
 pub use golden::{golden_run, GoldenRun};
 pub use heap::{Heap, HomePolicy, Pod, SharedVec};
-pub use msg::{BarrierId, IntervalRecord, LockId};
+pub use msg::{BarrierId, LockId};
 pub use node::{AccessCounters, MissClass, NodeCounters};
 pub use oracle::{
     digest_pages, fnv1a, fnv1a_extend, GrantRecord, InvariantKind, OracleConfig, OracleOutcome,
@@ -85,7 +85,7 @@ pub use report::{
     DirectorySummary, MissSummary, MtSummary, NetSummary, PrefetchSummary, RunReport, SimError,
     SyncSummary, TrafficRow,
 };
-pub use rsdsm_protocol::{Page, PAGE_SIZE};
+pub use rsdsm_protocol::{IntervalRecord, Page, PAGE_SIZE};
 pub use rsdsm_simnet::{
     ClassProbs, DegradedWindow, FaultPlan, FaultStats, NodeCrash, NodeStall, Partition,
     PersistConfig, PersistDevice, PersistStats, Topology,

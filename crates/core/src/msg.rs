@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use rsdsm_protocol::{Diff, Page, PageId, VectorClock, NOTICE_WIRE_BYTES, PAGE_SIZE};
+use rsdsm_protocol::{DiffPayload, IntervalRecord, Page, PageId, VectorClock, PAGE_SIZE};
 use rsdsm_simnet::NodeId;
 
 use crate::trace::{kind, kind_label};
@@ -22,58 +22,13 @@ pub struct LockId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BarrierId(pub u32);
 
-/// A closed interval: `origin` modified `pages` during the interval
-/// stamped `stamp`. This is the unit of write-notice propagation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalRecord {
-    /// The writing processor.
-    pub origin: NodeId,
-    /// Vector timestamp at the interval's close.
-    pub stamp: VectorClock,
-    /// Pages dirtied during the interval.
-    pub pages: Vec<PageId>,
-}
-
-impl IntervalRecord {
-    /// The origin's own sequence number for this interval — with
-    /// `origin`, the record's unique key.
-    pub fn seq(&self) -> u32 {
-        self.stamp.get(self.origin)
-    }
-
-    /// Wire size of the encoded record.
-    pub fn wire_bytes(&self) -> usize {
-        8 + 4 * self.stamp.len() + NOTICE_WIRE_BYTES * self.pages.len()
-    }
-}
-
 /// Wire size of a piggybacked interval list.
 fn intervals_wire_bytes(intervals: &[Arc<IntervalRecord>]) -> usize {
     intervals.iter().map(|rec| rec.wire_bytes()).sum()
 }
 
-/// One diff payload in a reply: the writer's interval stamp plus the
-/// encoded modifications.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffPayload {
-    /// The processor whose interval produced the diff.
-    pub origin: NodeId,
-    /// The interval's timestamp.
-    pub stamp: VectorClock,
-    /// The run-length-encoded modifications, shared zero-copy with
-    /// the sender's own diff record (cloning a payload bumps a
-    /// refcount, never copies the encoded bytes).
-    pub diff: Arc<Diff>,
-}
-
-impl DiffPayload {
-    fn wire_bytes(&self) -> usize {
-        8 + 4 * self.stamp.len() + self.diff.encoded_bytes()
-    }
-}
-
-/// A full page copy sent on first-touch fetches, along with the set
-/// of (origin, stamp) modifications already incorporated in it.
+/// A full page copy sent on first-touch fetches, along with the
+/// (origin, seq) intervals already incorporated in it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BasePayload {
     /// The page contents at the sender, shared zero-copy with the
@@ -81,7 +36,7 @@ pub struct BasePayload {
     /// that later mutates its twin un-shares it first).
     pub page: Arc<Page>,
     /// Modifications already applied into `page` by the sender.
-    pub incorporated: Vec<(NodeId, VectorClock)>,
+    pub incorporated: Vec<(NodeId, u32)>,
 }
 
 impl BasePayload {
@@ -99,8 +54,9 @@ pub enum MsgBody {
     DiffRequest {
         /// The faulted/prefetched page.
         page: PageId,
-        /// Interval stamps whose diffs are wanted from the recipient.
-        stamps: Vec<VectorClock>,
+        /// The recipient's own interval sequence numbers whose diffs
+        /// are wanted.
+        seqs: Vec<u32>,
         /// Also send a full page copy (first-touch fetch).
         want_base: bool,
         /// This is a prefetch request (servicing may split an open
@@ -227,9 +183,8 @@ impl MsgBody {
     pub fn wire_bytes(&self) -> usize {
         BODY_HEADER_BYTES
             + match self {
-                MsgBody::DiffRequest { stamps, vc, .. } => {
-                    4 * vc.len() + stamps.iter().map(|s| 4 * s.len()).sum::<usize>()
-                }
+                // Each requested interval is charged as a full stamp.
+                MsgBody::DiffRequest { seqs, vc, .. } => 4 * vc.len() * (1 + seqs.len()),
                 MsgBody::DiffReply {
                     diffs,
                     base,
@@ -294,6 +249,7 @@ impl MsgBody {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsdsm_protocol::{Diff, NOTICE_WIRE_BYTES};
 
     fn vc() -> VectorClock {
         VectorClock::new(4)
@@ -303,7 +259,7 @@ mod tests {
     fn wire_sizes_scale_with_content() {
         let small = MsgBody::DiffRequest {
             page: PageId::new(0),
-            stamps: vec![vc()],
+            seqs: vec![1],
             want_base: false,
             prefetch: false,
             adaptive: false,
@@ -312,7 +268,7 @@ mod tests {
         };
         let large = MsgBody::DiffRequest {
             page: PageId::new(0),
-            stamps: vec![vc(); 4],
+            seqs: vec![1, 2, 3, 4],
             want_base: false,
             prefetch: false,
             adaptive: false,
@@ -320,6 +276,157 @@ mod tests {
             vc: vc(),
         };
         assert!(large.wire_bytes() > small.wire_bytes());
+    }
+
+    /// A small diff of fixed encoded size.
+    fn one_run_diff() -> Arc<Diff> {
+        let mut page = Page::new();
+        page.write_u64(0, 7);
+        Arc::new(Diff::between(&Page::new(), &page))
+    }
+
+    /// Every `MsgBody` variant at `n` nodes, each carrying `k`
+    /// requested intervals, diffs, incorporated entries or
+    /// piggybacked two-page records.
+    fn every_variant(n: usize, k: usize) -> Vec<(&'static str, MsgBody)> {
+        let vc = VectorClock::new(n);
+        let rec = Arc::new(IntervalRecord {
+            origin: 0,
+            stamp: vc.clone(),
+            pages: vec![PageId::new(0), PageId::new(1)],
+        });
+        let diffs = vec![
+            DiffPayload {
+                rec: Arc::clone(&rec),
+                diff: one_run_diff(),
+            };
+            k
+        ];
+        let intervals = vec![rec; k];
+        let reply = |base: Option<BasePayload>| MsgBody::DiffReply {
+            page: PageId::new(0),
+            diffs: diffs.clone(),
+            base,
+            prefetch: false,
+            adaptive: false,
+            droppable: false,
+            intervals: intervals.clone(),
+        };
+        vec![
+            (
+                "diff_request",
+                MsgBody::DiffRequest {
+                    page: PageId::new(0),
+                    seqs: vec![1; k],
+                    want_base: false,
+                    prefetch: false,
+                    adaptive: false,
+                    droppable: false,
+                    vc: vc.clone(),
+                },
+            ),
+            ("diff_reply", reply(None)),
+            (
+                "diff_reply_base",
+                reply(Some(BasePayload {
+                    page: Arc::new(Page::new()),
+                    incorporated: vec![(0, 1); k],
+                })),
+            ),
+            (
+                "lock_request",
+                MsgBody::LockRequest {
+                    lock: LockId(0),
+                    requester: 1,
+                    vc: vc.clone(),
+                },
+            ),
+            (
+                "lock_forward",
+                MsgBody::LockForward {
+                    lock: LockId(0),
+                    requester: 1,
+                    vc: vc.clone(),
+                },
+            ),
+            (
+                "lock_grant",
+                MsgBody::LockGrant {
+                    lock: LockId(0),
+                    intervals: intervals.clone(),
+                    vc: vc.clone(),
+                },
+            ),
+            (
+                "barrier_arrive",
+                MsgBody::BarrierArrive {
+                    id: BarrierId(0),
+                    from: 1,
+                    vc: vc.clone(),
+                    intervals: intervals.clone(),
+                },
+            ),
+            (
+                "barrier_release",
+                MsgBody::BarrierRelease {
+                    id: BarrierId(0),
+                    vc,
+                    intervals,
+                },
+            ),
+            ("suspect_report", MsgBody::SuspectReport { suspect: 1 }),
+            (
+                "recovery_start",
+                MsgBody::RecoveryStart {
+                    victim: 1,
+                    epoch: 2,
+                },
+            ),
+        ]
+    }
+
+    /// Exact modeled wire sizes, `(variant, nodes, [bytes with 0, 1
+    /// and 3 entries])`. Every simulated transfer time, traffic table
+    /// and digest rests on these numbers, so a change to how messages
+    /// are represented in memory must reproduce them byte for byte.
+    const WIRE_BYTES: [(&str, usize, [usize; 3]); 20] = [
+        ("diff_request", 4, [32, 48, 80]),
+        ("diff_reply", 4, [16, 117, 319]),
+        ("diff_reply_base", 4, [4112, 4225, 4451]),
+        ("lock_request", 4, [32, 32, 32]),
+        ("lock_forward", 4, [32, 32, 32]),
+        ("lock_grant", 4, [32, 104, 248]),
+        ("barrier_arrive", 4, [32, 104, 248]),
+        ("barrier_release", 4, [32, 104, 248]),
+        ("suspect_report", 4, [16, 16, 16]),
+        ("recovery_start", 4, [16, 16, 16]),
+        ("diff_request", 64, [272, 528, 1040]),
+        ("diff_reply", 64, [16, 597, 1759]),
+        ("diff_reply_base", 64, [4112, 4705, 5891]),
+        ("lock_request", 64, [272, 272, 272]),
+        ("lock_forward", 64, [272, 272, 272]),
+        ("lock_grant", 64, [272, 584, 1208]),
+        ("barrier_arrive", 64, [272, 584, 1208]),
+        ("barrier_release", 64, [272, 584, 1208]),
+        ("suspect_report", 64, [16, 16, 16]),
+        ("recovery_start", 64, [16, 16, 16]),
+    ];
+
+    #[test]
+    fn wire_bytes_match_the_pinned_table() {
+        let mut checked = 0;
+        for (label, n, bytes) in WIRE_BYTES {
+            for (k, want) in [0, 1, 3].into_iter().zip(bytes) {
+                let (_, body) = every_variant(n, k)
+                    .into_iter()
+                    .find(|(l, _)| *l == label)
+                    .expect("table row names a variant");
+                assert_eq!(body.wire_bytes(), want, "{label} at n={n}, k={k}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 60);
+        assert_eq!(every_variant(4, 0).len() * 2, WIRE_BYTES.len());
     }
 
     #[test]
@@ -343,7 +450,7 @@ mod tests {
     fn only_prefetch_traffic_is_droppable() {
         let pf = MsgBody::DiffRequest {
             page: PageId::new(0),
-            stamps: vec![],
+            seqs: vec![],
             want_base: false,
             prefetch: true,
             adaptive: false,

@@ -12,13 +12,15 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use rsdsm_protocol::{Diff, DiffCache, NoticeBoard, Page, PageId, PagePool, VectorClock};
+use rsdsm_protocol::{
+    Diff, DiffCache, DiffPayload, IntervalRecord, NoticeBoard, Page, PageId, PagePool, VectorClock,
+};
 use rsdsm_simnet::{NodeId, SimDuration, SimTime};
 
 use crate::accounting::NodeAccount;
 use crate::barrier::NodeBarrier;
 use crate::lock::LockTable;
-use crate::msg::{BasePayload, DiffPayload, IntervalRecord};
+use crate::msg::BasePayload;
 use crate::prefetch::{AdaptiveConfig, AdaptiveStats, StrideDetector, ThrottleController};
 use crate::thread::{Scheduler, ThreadId};
 
@@ -406,6 +408,17 @@ impl NodeState {
             burst: None,
         }
     }
+
+    /// Stores reply diffs for `page` in the prefetch cache, dropping
+    /// those a faster path already applied: replaying them later
+    /// would roll newer bytes back.
+    pub fn cache_unapplied(&mut self, page: PageId, diffs: Vec<DiffPayload>) {
+        for d in diffs {
+            if !self.board.is_applied(page, d.origin(), d.seq()) {
+                self.cache.insert(page, d);
+            }
+        }
+    }
 }
 
 /// The log of every interval a node knows, keyed by `(origin, seq)`.
@@ -445,11 +458,11 @@ impl IntervalLog {
         &self.records
     }
 
-    /// Whether interval `(origin, seq)` is known.
-    pub fn contains(&self, origin: NodeId, seq: u32) -> bool {
-        self.by_origin[origin]
-            .binary_search_by_key(&seq, |&(s, _)| s)
-            .is_ok()
+    /// The record of interval `(origin, seq)`, if known.
+    pub fn get(&self, origin: NodeId, seq: u32) -> Option<&Arc<IntervalRecord>> {
+        let list = &self.by_origin[origin];
+        let at = list.binary_search_by_key(&seq, |&(s, _)| s).ok()?;
+        Some(&self.records[list[at].1 as usize])
     }
 
     /// Records an interval (deduplicated by `(origin, seq)`). Returns
@@ -630,9 +643,9 @@ mod tests {
         assert!(!n.known_intervals.learn(&record(1, 1, 2)));
         assert_eq!(n.known_intervals.records().len(), 1);
         assert!(Arc::ptr_eq(&n.known_intervals.records()[0], &rec));
-        assert!(n.known_intervals.contains(1, 1));
-        assert!(!n.known_intervals.contains(1, 2));
-        assert!(!n.known_intervals.contains(0, 1));
+        assert!(n.known_intervals.get(1, 1).is_some());
+        assert!(n.known_intervals.get(1, 2).is_none());
+        assert!(n.known_intervals.get(0, 1).is_none());
     }
 
     #[test]
@@ -644,7 +657,7 @@ mod tests {
         knows_one.tick(1);
         let unknown = n.known_intervals.unknown_to(&knows_one);
         assert_eq!(unknown.len(), 1);
-        assert_eq!(unknown[0].stamp.get(1), 2);
+        assert_eq!((unknown[0].origin, unknown[0].seq()), (1, 2));
         let knows_none = VectorClock::new(2);
         assert_eq!(n.known_intervals.unknown_to(&knows_none).len(), 2);
     }
@@ -657,7 +670,9 @@ mod tests {
         assert!(log.learn(&other));
         assert!(log.learn(&early));
         assert!(!log.learn(&late));
-        assert!(log.contains(1, 1) && log.contains(1, 2) && log.contains(2, 1));
+        assert!([(1, 1), (1, 2), (2, 1)]
+            .iter()
+            .all(|&(o, s)| log.get(o, s).is_some()));
         // Results come back in learning order, not sequence order.
         let all = log.unknown_to(&VectorClock::new(3));
         assert!(same_records(&all, &[late.clone(), other.clone(), early]));
@@ -764,7 +779,8 @@ mod tests {
             let nodes = self.vcs.len();
             for log in &self.logs {
                 for rec in log.records() {
-                    assert!(log.contains(rec.origin, rec.seq()));
+                    let found = log.get(rec.origin, rec.seq()).expect("known record");
+                    assert!(Arc::ptr_eq(found, rec));
                 }
                 for vc in self.vcs.iter().chain(&self.past) {
                     assert!(same_records(

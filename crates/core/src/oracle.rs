@@ -27,7 +27,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use rsdsm_protocol::{Diff, Page, PageId, VectorClock};
+use rsdsm_protocol::{Diff, IntervalRecord, Page, PageId, VectorClock};
 use rsdsm_simnet::{NodeId, SimTime};
 
 use crate::msg::{BarrierId, LockId};
@@ -225,15 +225,14 @@ impl OracleState {
         }
     }
 
-    /// A diff is about to be applied at node `n`; `covered` says
-    /// whether the node knows an interval record for it.
+    /// A diff of interval `rec` is about to be applied at node `n`;
+    /// `covered` says whether the node knows the interval.
     pub fn check_coverage(
         &mut self,
         covered: bool,
         n: NodeId,
         page: PageId,
-        origin: NodeId,
-        stamp: &VectorClock,
+        rec: &IntervalRecord,
         at: SimTime,
     ) {
         if !covered {
@@ -241,8 +240,9 @@ impl OracleState {
                 kind: InvariantKind::NoticeCoverage,
                 at,
                 detail: format!(
-                    "node {n} applied diff for {page} from node {origin} stamp {stamp} \
-                     without a known interval"
+                    "node {n} applied diff for {page} from node {} stamp {} \
+                     without a known interval",
+                    rec.origin, rec.stamp
                 ),
             });
         }

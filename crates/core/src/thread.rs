@@ -91,14 +91,6 @@ impl Scheduler {
         self.running
     }
 
-    /// The thread most recently on the CPU (used to decide whether a
-    /// dispatch is a context *switch*); part of the scheduler's
-    /// public surface for diagnostics.
-    #[allow(dead_code)]
-    pub fn last_run(&self) -> Option<ThreadId> {
-        self.last_run
-    }
-
     /// Appends a thread to the ready queue.
     pub fn make_ready(&mut self, tid: ThreadId) {
         debug_assert!(self.running != Some(tid), "running thread made ready");

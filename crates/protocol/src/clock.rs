@@ -129,20 +129,23 @@ impl VectorClock {
         }
     }
 
+    /// A total order consistent with happens-before-1: element sum,
+    /// then lexicographic. A dominated clock never has a larger sum,
+    /// and equal sums with domination imply equality, so sorting by
+    /// this key yields a topological order; concurrent clocks fall in
+    /// a deterministic one.
+    pub fn topo_cmp(&self, other: &VectorClock) -> Ordering {
+        let sum = |vc: &VectorClock| vc.elems.iter().map(|&x| u64::from(x)).sum::<u64>();
+        sum(self)
+            .cmp(&sum(other))
+            .then_with(|| self.elems.cmp(&other.elems))
+    }
+
     /// Sorts stamps into an order consistent with happens-before-1
-    /// (a topological order): earlier-or-concurrent stamps first.
-    ///
-    /// Concurrent stamps are ordered by their element sum then
-    /// lexicographically, which is deterministic and consistent with
-    /// the partial order because a dominated clock always has a
-    /// smaller or equal sum (and equal sums with domination implies
-    /// equality).
+    /// (a topological order, see [`VectorClock::topo_cmp`]):
+    /// earlier-or-concurrent stamps first.
     pub fn sort_hb(stamps: &mut [VectorClock]) {
-        stamps.sort_by(|a, b| {
-            let sa: u64 = a.elems.iter().map(|&x| x as u64).sum();
-            let sb: u64 = b.elems.iter().map(|&x| x as u64).sum();
-            sa.cmp(&sb).then_with(|| a.elems.cmp(&b.elems))
-        });
+        stamps.sort_by(VectorClock::topo_cmp);
     }
 }
 
@@ -233,6 +236,22 @@ mod tests {
         let mut v2 = vec![a, c, b];
         VectorClock::sort_hb(&mut v2);
         assert_eq!(v, v2);
+    }
+
+    #[test]
+    fn topo_cmp_orders_by_happens_before() {
+        let mut early = VectorClock::new(2); // <1,0>
+        early.tick(0);
+        let mut late = early.clone(); // <2,0>
+        late.tick(0);
+        assert_eq!(early.topo_cmp(&late), Ordering::Less);
+        assert_eq!(late.topo_cmp(&early), Ordering::Greater);
+        assert_eq!(early.topo_cmp(&early.clone()), Ordering::Equal);
+        // Concurrent clocks: smaller sum first, then lexicographic.
+        let mut other = VectorClock::new(2); // <0,1>
+        other.tick(1);
+        assert_eq!(other.topo_cmp(&early), Ordering::Less);
+        assert_eq!(other.topo_cmp(&late), Ordering::Less);
     }
 
     #[test]

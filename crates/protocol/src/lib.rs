@@ -8,10 +8,13 @@
 //! - [`Page`] / [`PageId`]: 4 KB coherence units.
 //! - [`Diff`]: run-length-encoded modification records produced by the
 //!   multiple-writer twin/diff mechanism.
+//! - [`IntervalRecord`]: a closed interval, named by `(origin, seq)`
+//!   and carrying the only vector clock an interval has.
 //! - [`WriteNotice`] / [`NoticeBoard`]: invalidation bookkeeping
 //!   propagated at acquire time.
-//! - [`DiffCache`]: the separate heap that stores prefetched diff
-//!   replies until the access that consumes them (paper §3.1).
+//! - [`DiffPayload`] / [`DiffCache`]: one interval's diff for a page,
+//!   and the separate heap that stores prefetched diff replies until
+//!   the access that consumes them (paper §3.1).
 //!
 //! Everything here is deterministic and simulation-free; the runtime
 //! in `rsdsm-core` drives these structures from the event loop.
@@ -47,5 +50,7 @@ mod page;
 
 pub use clock::VectorClock;
 pub use diff::Diff;
-pub use notice::{CachedDiff, DiffCache, NoticeBoard, WriteNotice, NOTICE_WIRE_BYTES};
+pub use notice::{
+    DiffCache, DiffPayload, IntervalRecord, NoticeBoard, WriteNotice, NOTICE_WIRE_BYTES,
+};
 pub use page::{Page, PageId, PagePool, PAGE_SIZE};

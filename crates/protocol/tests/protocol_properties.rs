@@ -290,21 +290,21 @@ proptest! {
         ops in prop::collection::vec((0u32..4, 0usize..3, 1u32..5), 1..40),
     ) {
         let mut board = NoticeBoard::new();
-        let mut recorded = Vec::new();
-        for &(page, origin, ticks) in &ops {
-            let mut stamp = VectorClock::new(3);
-            for _ in 0..ticks {
-                stamp.tick(origin);
-            }
+        for &(page, origin, seq) in &ops {
             board.record(WriteNotice {
                 page: PageId::new(page),
                 origin,
-                stamp: stamp.clone(),
+                seq,
             });
-            recorded.push((PageId::new(page), origin, stamp));
         }
-        for (page, origin, stamp) in &recorded {
-            board.mark_applied(*page, *origin, stamp);
+        for &(page, origin, seq) in &ops {
+            let pending = board.pending_by_origin(PageId::new(page));
+            prop_assert!(pending
+                .iter()
+                .any(|(o, seqs)| *o == origin && seqs.contains(&seq)));
+        }
+        for &(page, origin, seq) in ops.iter().rev() {
+            board.mark_applied(PageId::new(page), origin, seq);
         }
         for &(page, ..) in &ops {
             prop_assert!(!board.has_pending(PageId::new(page)));
